@@ -89,11 +89,21 @@ class SegmentGrid:
         return (k + 0.5) * self.segment_duration_s
 
 
+def segment_length(segment_ms: float, sample_rate_hz: float) -> int:
+    """Samples in one segment window: round(segment_ms/1000 * rate), at least 2."""
+    seg_len = int(round(segment_ms / 1000.0 * sample_rate_hz))
+    if seg_len < 2:
+        raise DataError(
+            f"segment of {segment_ms} ms at {sample_rate_hz} Hz is {seg_len} samples; "
+            "need >= 2")
+    return seg_len
+
+
 def segment(waveform: Waveform | int, segment_ms: float = SEGMENT_MS,
             sample_rate_hz: float | None = None) -> SegmentGrid:
     """Build the segment grid for a waveform (or an explicit sample count).
 
-    The window length is round(segment_ms/1000 * rate) samples; whatever does
+    The window length is segment_length(segment_ms, rate); whatever does
     not fill a final full window is discarded rather than zero-padded, so the
     intensity profile never shows an artificial dip at the end of a stream.
     """
@@ -105,10 +115,7 @@ def segment(waveform: Waveform | int, segment_ms: float = SEGMENT_MS,
         if sample_rate_hz is None:
             raise DataError("sample_rate_hz required when passing a raw length")
         rate = float(sample_rate_hz)
-    seg_len = int(round(segment_ms / 1000.0 * rate))
-    if seg_len < 2:
-        raise DataError(
-            f"segment of {segment_ms} ms at {rate} Hz is {seg_len} samples; need >= 2")
+    seg_len = segment_length(segment_ms, rate)
     if n < seg_len:
         raise DataError(f"signal of {n} samples is shorter than one {seg_len}-sample segment")
     return SegmentGrid(segment_len_samples=seg_len,

@@ -23,7 +23,6 @@ import math
 import socket
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -293,15 +292,13 @@ class FrameSender:
     """
 
     def __init__(self, endpoint: str | None = None, queue_capacity: int = 256,
-                 policy: str = "drop-oldest", reconnect_attempts: int = 0,
-                 connect_timeout: float = 5.0):
+                 policy: str = "drop-oldest", connect_timeout: float = 5.0):
         if queue_capacity < 1:
             raise DataError("queue capacity must be >= 1")
         if policy not in ("drop-oldest", "block"):
             raise DataError(f"unknown queue policy {policy!r}")
         self._capacity = queue_capacity
         self._policy = policy
-        self._reconnect_attempts = reconnect_attempts
         self._connect_timeout = connect_timeout
         self._queue: deque[WireMessage] = deque()
         self._n_droppable = 0  # capacity bounds frames; control messages ride along
@@ -310,7 +307,6 @@ class FrameSender:
         self._sock: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self._closing = False
-        self._endpoint: str | None = None
         self.sent = 0
         self.drops = 0
         self.error: str | None = None
@@ -319,7 +315,6 @@ class FrameSender:
 
     def connect(self, endpoint: str) -> None:
         host, port = parse_endpoint(endpoint)
-        self._endpoint = endpoint
         try:
             self._sock = socket.create_connection((host, port), timeout=self._connect_timeout)
         except OSError as exc:
@@ -363,27 +358,11 @@ class FrameSender:
                 self._sock.sendall(payload)
                 self.sent += 1
             except OSError as exc:
-                if not self._try_reconnect(payload):
-                    with self._lock:
-                        self.error = str(exc)
-                        self._queue.clear()
-                        self._wake.notify_all()
-                    return
-
-    def _try_reconnect(self, pending_payload: bytes) -> bool:
-        for attempt in range(self._reconnect_attempts):
-            time.sleep(min(0.1 * (attempt + 1), 1.0))
-            try:
-                host, port = parse_endpoint(self._endpoint)
-                self._sock = socket.create_connection((host, port),
-                                                      timeout=self._connect_timeout)
-                self._sock.settimeout(None)
-                self._sock.sendall(pending_payload)
-                self.sent += 1
-                return True
-            except OSError:
-                continue
-        return False
+                with self._lock:
+                    self.error = str(exc)
+                    self._queue.clear()
+                    self._wake.notify_all()
+                return
 
     def close(self, send_end: bool = True, timeout: float = 10.0) -> SenderReport:
         """Flush the queue (optionally appending End), stop the writer, report."""
