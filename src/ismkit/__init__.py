@@ -8,12 +8,12 @@ trajectories streamed over a framed binary protocol or recorded for replay.
 """
 
 from .colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
-from .emd import EmdConfig, ImfSet, SegmentComponent, emd_decompose, segment_components
+from .emd import EmdConfig, ImfSet, emd_decompose
 from .errors import DataError, FileFormatError, IsmkitError, ProtocolError, UsageError
 from .ism import (AnalysisResult, IntensityProfile, IsmConfig, StreamingAnalyzer,
                   analyze, convert, fuse_channels, synthesize)
 from .psychophysics import (DEFAULT_MODEL, PsychoModel, amplitude_for_intensity,
-                            intensity_single, threshold_at, total_intensity)
+                            intensity_single, threshold_at)
 from .session import ReplayClock, Session, SessionWriter, record, replay
 from .signal import (MultiChannelWaveform, SegmentGrid, Waveform, lowfreq_extract,
                      segment)
@@ -31,13 +31,12 @@ __all__ = [
     "EmdConfig", "End", "FileFormatError", "Frame", "FrameSender", "Hello",
     "ImfSet", "IntensityOnly", "IntensityProfile", "IsmConfig", "IsmkitError",
     "Listener", "MultiChannelWaveform", "NormalizationConfig", "PoseSample",
-    "ProtocolError", "PsychoModel", "ReplayClock", "SegmentComponent",
-    "SegmentGrid", "Session", "SessionWriter", "StreamingAnalyzer", "ToolCalibration",
-    "TrajectoryConfig", "TrajectoryPoint", "TURBO", "UsageError", "Waveform",
+    "ProtocolError", "PsychoModel", "ReplayClock", "SegmentGrid", "Session",
+    "SessionWriter", "StreamingAnalyzer", "ToolCalibration", "TrajectoryConfig",
+    "TrajectoryPoint", "TURBO", "UsageError", "Waveform",
     "amplitude_for_intensity", "analyze", "build_trajectory", "convert",
     "decode", "emd_decompose", "encode", "export_ply", "fuse_channels",
     "intensity_single", "load_wav", "lowfreq_extract", "map_color", "normalize",
     "pivot_calibrate", "record", "replay", "save_wav", "segment",
-    "segment_components", "synthesize", "threshold_at", "tip_position",
-    "total_intensity",
+    "synthesize", "threshold_at", "tip_position",
 ]

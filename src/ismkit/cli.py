@@ -9,8 +9,10 @@ exits nonzero with a single machine-parseable stderr line of the form
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,13 +185,7 @@ def cmd_convert(args) -> int:
 def _profile_from_intensities(intensities: np.ndarray) -> ism.IntensityProfile:
     if intensities.shape[0] == 0:
         raise DataError("session has no intensity stream; pass --profile")
-    times = intensities[:, 0] / 1e6
-    if times.size > 1:
-        dur_ms = float(np.median(np.diff(times))) * 1000.0
-    else:
-        dur_ms = 5.0
-    start = float(times[0]) - dur_ms / 2000.0
-    return ism.IntensityProfile(intensities[:, 1], dur_ms, start_time_s=start)
+    return ism.profile_from_times(intensities[:, 0] / 1e6, intensities[:, 1])
 
 
 def cmd_render(args) -> int:
@@ -240,26 +236,20 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _frames_from_session(session: sess.Session, norm: NormalizationConfig):
-    """Merge poses and intensities into wire frames (hold-last intensity)."""
-    events: list[tuple[int, int, object]] = []
-    for pose in session.poses:
-        events.append((pose.t_us, 0, pose))
-    for t_us, value in session.intensities:
-        events.append((int(t_us), 1, float(value)))
-    events.sort(key=lambda e: (e[0], e[1]))
-    held = 0.0
-    frames: list[wire.WireMessage] = []
-    for t_us, kind, payload in events:
-        if kind == 1:
-            held = payload
-            frames.append(wire.IntensityOnly(t_us, held))
-        else:
-            rgb = map_color(normalize(held, norm))
-            frames.append(wire.Frame(t_us=t_us, position=tuple(payload.position),
-                                     quaternion=tuple(payload.orientation),
-                                     intensity=held, rgb=rgb))
-    return frames
+def _hello(session: sess.Session) -> wire.Hello:
+    return wire.Hello(channels=session.channels,
+                      sample_rate_hz=int(round(session.sample_rate_hz)),
+                      segment_ms_x10=int(round(session.segment_ms * 10)))
+
+
+def _message(t_us: int, pose: PoseSample | None, intensity: float,
+             norm: NormalizationConfig) -> wire.WireMessage:
+    """The wire message for one replay event: a colored Frame for a pose."""
+    if pose is None:
+        return wire.IntensityOnly(t_us, intensity)
+    return wire.Frame(t_us=t_us, position=tuple(pose.position),
+                      quaternion=tuple(pose.orientation), intensity=intensity,
+                      rgb=map_color(normalize(intensity, norm)))
 
 
 def cmd_stream_send(args) -> int:
@@ -268,12 +258,13 @@ def cmd_stream_send(args) -> int:
         raise UsageError("no endpoint given (flag --endpoint, config, or "
                          f"{ENDPOINT_ENV})")
     session = sess.Session.open(args.session)
-    messages = _frames_from_session(session, cfg.norm())
+    norm = cfg.norm()
+    # every message is built before connecting, so a bad session sends nothing
+    messages = [_message(*event, norm) for event in
+                sess.replay_events(session, sess.ReplayClock(speed=math.inf))]
     # bulk transfer of a recorded session is lossless; drop-oldest is for live feeds
     sender = wire.FrameSender(cfg.endpoint, queue_capacity=args.queue, policy="block")
-    sender.send(wire.Hello(channels=session.channels,
-                           sample_rate_hz=int(round(session.sample_rate_hz)),
-                           segment_ms_x10=int(round(session.segment_ms * 10))))
+    sender.send(_hello(session))
     for message in messages:
         sender.send(message)
     report = sender.close()
@@ -323,32 +314,24 @@ def cmd_replay(args) -> int:
     clock = sess.ReplayClock(speed=args.speed)
 
     sender = None
-    poses_out: list = []
-    ints_out: list[tuple[int, float]] = []
     norm = cfg.norm()
-    held = [0.0]
     if args.endpoint or (cfg.endpoint and args.to_wire):
-        endpoint = args.endpoint or cfg.endpoint
-        sender = wire.FrameSender(endpoint)
-        sender.send(wire.Hello(channels=session.channels,
-                               sample_rate_hz=int(round(session.sample_rate_hz)),
-                               segment_ms_x10=int(round(session.segment_ms * 10))))
+        sender = wire.FrameSender(args.endpoint or cfg.endpoint)
+        sender.send(_hello(session))
 
-    def on_pose(pose):
-        poses_out.append(pose)
+    poses_out: list[PoseSample] = []
+    times_s: list[float] = []
+    values: list[float] = []
+    start_wall = time.monotonic()
+    for t_us, pose, intensity in sess.replay_events(session, clock):
+        if pose is not None:
+            poses_out.append(pose)
+        else:
+            times_s.append(t_us / 1e6)
+            values.append(intensity)
         if sender is not None:
-            rgb = map_color(normalize(held[0], norm))
-            sender.send(wire.Frame(t_us=pose.t_us, position=tuple(pose.position),
-                                   quaternion=tuple(pose.orientation),
-                                   intensity=held[0], rgb=rgb))
-
-    def on_intensity(t_us, value):
-        held[0] = value
-        ints_out.append((t_us, value))
-        if sender is not None:
-            sender.send(wire.IntensityOnly(t_us, value))
-
-    report = sess.replay(session, clock, on_pose=on_pose, on_intensity=on_intensity)
+            sender.send(_message(t_us, pose, intensity, norm))
+    wall_s = time.monotonic() - start_wall
     if sender is not None:
         sender_report = sender.close()
         if sender_report.error:
@@ -356,15 +339,9 @@ def cmd_replay(args) -> int:
     if args.pose_csv:
         save_pose_csv(poses_out, args.pose_csv)
     if args.intensity_csv:
-        import csv as _csv
-        with open(args.intensity_csv, "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["t_s", "intensity"])
-            for t_us, value in ints_out:
-                w.writerow([f"{t_us / 1e6:.6f}", f"{value:.9g}"])
-    print(f"replayed poses={report.poses_delivered} "
-          f"intensities={report.intensities_delivered} "
-          f"wall_s={report.wall_time_s:.3f}")
+        ism.save_intensity_csv(times_s, values, args.intensity_csv)
+    print(f"replayed poses={len(poses_out)} intensities={len(values)} "
+          f"wall_s={wall_s:.3f}")
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._turbo_data import TURBO_TABLE
-from .errors import DataError, FileFormatError
+from .errors import DataError
 
 LUT_SIZE = 256
 
@@ -64,30 +64,3 @@ def map_color(t: float, lut: ColorLut = TURBO) -> tuple[int, int, int]:
     return (round(a[0] + (b[0] - a[0]) * frac),
             round(a[1] + (b[1] - a[1]) * frac),
             round(a[2] + (b[2] - a[2]) * frac))
-
-
-def load_lut(path, name: str | None = None) -> ColorLut:
-    """Load a LUT file: 256 lines of whitespace-separated `r g b` integers."""
-    entries: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FileFormatError(f"{path}:{lineno}: expected 'r g b', got {line!r}")
-            try:
-                entries.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: non-integer value in {line!r}") from None
-    try:
-        return ColorLut(tuple(entries), name=name or str(path))
-    except DataError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-
-
-def save_lut(lut: ColorLut, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, g, b in lut.table:
-            fh.write(f"{r} {g} {b}\n")

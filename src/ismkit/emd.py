@@ -63,27 +63,12 @@ class ImfSet:
 
     imfs: tuple[Waveform, ...]
     residual: Waveform
-    source_length: int
 
     def reconstruct(self) -> np.ndarray:
         total = self.residual.samples.copy()
         for imf in self.imfs:
             total += imf.samples
         return total
-
-
-@dataclass(frozen=True)
-class SegmentComponent:
-    """Equivalent-sine amplitude and zero-crossing frequency of one IMF over one segment.
-
-    A component is resolvable only when the segment contains at least two
-    zero crossings; slower content cannot be assigned a frequency at this
-    window length and is carried by the low-frequency path instead.
-    """
-
-    amplitude: float
-    frequency_hz: float
-    resolvable: bool
 
 
 def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,20 +82,6 @@ def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     locs = (nz[flips] + 1 + nz[flips + 1]) // 2
     rising_before = s[flips]
     return locs[rising_before], locs[~rising_before]
-
-
-def count_zero_crossings(x: np.ndarray) -> int:
-    """Count sign changes; a zero sample at either end of the window counts as one."""
-    s = np.sign(x)
-    nonzero = s[s != 0]
-    if nonzero.size == 0:
-        return 0
-    crossings = int(np.count_nonzero(nonzero[1:] != nonzero[:-1]))
-    if s[0] == 0:
-        crossings += 1
-    if s[-1] == 0 and x.size > 1:
-        crossings += 1
-    return crossings
 
 
 def _reflect(x: np.ndarray, src: np.ndarray, sym: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,12 +141,12 @@ def _mirror_knots(x: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray,
     rt_max, rv_max = _reflect(x, rsrc_max, rsym)
     rt_min, rv_min = _reflect(x, rsrc_min, rsym)
 
-    t_up, v_up = _dedupe_sorted(
-        np.concatenate([lt_max, max_idx.astype(np.float64), rt_max]),
-        np.concatenate([lv_max, x[max_idx], rv_max]))
-    t_lo, v_lo = _dedupe_sorted(
-        np.concatenate([lt_min, min_idx.astype(np.float64), rt_min]),
-        np.concatenate([lv_min, x[min_idx], rv_min]))
+    # each reflection lands strictly outside the extrema it mirrors, so these
+    # knot sets are already strictly increasing
+    t_up = np.concatenate([lt_max, max_idx.astype(np.float64), rt_max])
+    v_up = np.concatenate([lv_max, x[max_idx], rv_max])
+    t_lo = np.concatenate([lt_min, min_idx.astype(np.float64), rt_min])
+    v_lo = np.concatenate([lv_min, x[min_idx], rv_min])
 
     # Coverage guard: every envelope must have knots on or past both edges
     t_up, v_up = _ensure_span(x, t_up, v_up, max_idx, k, last)
@@ -497,8 +468,7 @@ def emd_decompose(waveform: Waveform, config: EmdConfig | None = None) -> ImfSet
         imfs.append(Waveform(h, rate))
         residual = residual - h
 
-    return ImfSet(imfs=tuple(imfs), residual=Waveform(residual, rate),
-                  source_length=x.size)
+    return ImfSet(imfs=tuple(imfs), residual=Waveform(residual, rate))
 
 
 def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
@@ -556,12 +526,6 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
     return imfs, residual
 
 
-def imf_quality(imf: Waveform) -> tuple[int, int]:
-    """(extrema count, zero-crossing count) for checking the IMF criterion post hoc."""
-    max_idx, min_idx = find_extrema(imf.samples)
-    return max_idx.size + min_idx.size, count_zero_crossings(imf.samples)
-
-
 def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment (amplitude, frequency, resolvable) arrays for a stack of IMFs.
@@ -606,25 +570,3 @@ def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0
     frequency = crossings / (2.0 * grid.segment_duration_s)
     resolvable = crossings >= 2
     return amplitude, frequency, resolvable
-
-
-def segment_components(imf_set: ImfSet, grid: SegmentGrid
-                       ) -> list[list[SegmentComponent]]:
-    """For every segment, one SegmentComponent per IMF.
-
-    Amplitude is the equivalent-sine amplitude sqrt(2)*RMS; frequency comes
-    from the zero-crossing count over the segment. Components with fewer
-    than two crossings are flagged unresolvable.
-    """
-    if grid.segment_count * grid.segment_len_samples > imf_set.source_length:
-        raise DataError("segment grid extends past the decomposed signal")
-    per_imf = [[a[0] for a in _component_arrays(imf.samples[None], grid)]
-               for imf in imf_set.imfs]
-    out: list[list[SegmentComponent]] = []
-    for k in range(grid.segment_count):
-        out.append([
-            SegmentComponent(amplitude=float(amp[k]), frequency_hz=float(freq[k]),
-                             resolvable=bool(res[k]))
-            for amp, freq, res in per_imf
-        ])
-    return out

@@ -294,13 +294,33 @@ def convert(waveform: Waveform, model: psy.PsychoModel | None = None,
     return synthesize(result.profile, result.lowfreq, model, config)
 
 
-def save_profile_csv(profile: IntensityProfile, path) -> None:
-    """Write `t_s,intensity` rows, one per segment midpoint."""
+def save_intensity_csv(times_s, values, path) -> None:
+    """Write `t_s,intensity` rows: seconds to the microsecond, 9 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "intensity"])
-        for t, v in zip(profile.midpoints_s(), profile.values):
+        for t, v in zip(times_s, values):
             writer.writerow([f"{t:.6f}", f"{v:.9g}"])
+
+
+def save_profile_csv(profile: IntensityProfile, path) -> None:
+    """Write a profile as `t_s,intensity` rows, one per segment midpoint."""
+    save_intensity_csv(profile.midpoints_s(), profile.values, path)
+
+
+def profile_from_times(times_s, values) -> IntensityProfile:
+    """A profile from values at segment midpoints.
+
+    The segment duration is the median spacing of the times (SEGMENT_MS for
+    a single value), and the profile starts half a segment before the first.
+    """
+    times = np.asarray(times_s, dtype=np.float64)
+    if times.size > 1:
+        dur_ms = float(np.median(np.diff(times))) * 1000.0
+    else:
+        dur_ms = SEGMENT_MS
+    start = float(times[0]) - dur_ms / 2000.0
+    return IntensityProfile(values, dur_ms, start_time_s=start)
 
 
 def load_profile_csv(path) -> IntensityProfile:
@@ -322,9 +342,4 @@ def load_profile_csv(path) -> IntensityProfile:
                 raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from None
     if not values:
         raise FileFormatError(f"{path}: no intensity rows")
-    if len(times) > 1:
-        dur_ms = float(np.median(np.diff(times))) * 1000.0
-    else:
-        dur_ms = SEGMENT_MS
-    start = times[0] - dur_ms / 2000.0
-    return IntensityProfile(np.asarray(values), dur_ms, start_time_s=start)
+    return profile_from_times(times, values)

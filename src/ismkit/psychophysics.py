@@ -14,12 +14,11 @@ what lets resynthesis reproduce the original intensity at a new carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError, FileFormatError
-from .emd import SegmentComponent
 
 
 def _as_points(points: Iterable[tuple[float, float]], what: str) -> np.ndarray:
@@ -91,15 +90,6 @@ def intensity_single(amplitude, f, model: PsychoModel):
         raise DataError("amplitude must be non-negative")
     out = (a / threshold_at(model, f)) ** (2.0 * exponent_at(model, f))
     return float(out) if out.ndim == 0 else out
-
-
-def total_intensity(components: Sequence[SegmentComponent], model: PsychoModel) -> float:
-    """Sum of single-component intensities over the resolvable components of one segment."""
-    total = 0.0
-    for c in components:
-        if c.resolvable:
-            total += intensity_single(c.amplitude, c.frequency_hz, model)
-    return total
 
 
 def amplitude_for_intensity(intensity, f_c, model: PsychoModel):

@@ -14,7 +14,6 @@ recorders can extend the format without breaking old tooling.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import time
@@ -276,6 +275,49 @@ def record(path, *, vibration: np.ndarray | None = None,
     return writer.close()
 
 
+def replay_events(session: Session, clock: ReplayClock | None = None):
+    """Yield (t_us, pose or None, intensity) for every event, in timestamp order, paced.
+
+    Poses and intensities merge by timestamp, a pose first on a tie, and
+    each stream keeps its own order among equal timestamps. A pose event
+    carries the last intensity before it (0.0 before the first); an
+    intensity event carries its own value. Events earlier than the first
+    event plus the clock's start offset are skipped, though a skipped
+    intensity is still held. Delivery is paced by timestamp deltas / speed;
+    speed=inf yields the identical sequence without waiting.
+    """
+    clock = clock or ReplayClock()
+    poses = session.poses
+    ints_t = session.intensities[:, 0]
+    if not np.all((ints_t >= 0) & (ints_t < 2.0 ** 64)):
+        raise DataError("intensity timestamps must lie in the u64 microsecond range")
+    try:
+        t = np.concatenate([np.array([p.t_us for p in poses], dtype=np.uint64),
+                            ints_t.astype(np.uint64)])
+    except OverflowError:
+        raise DataError("pose timestamps must lie in the u64 microsecond range") from None
+    if not t.size:
+        return
+    # a stable sort over poses-then-intensities puts a pose first on a tie
+    order = np.argsort(t, kind="stable")
+    values = session.intensities[:, 1].tolist()
+    n_poses = len(poses)
+    t0 = int(t[order[0]]) + int(clock.start_offset_s * 1e6)
+    paced = math.isfinite(clock.speed)
+    start_wall = time.monotonic()
+    held = 0.0
+    for i, t_us in zip(order.tolist(), t[order].tolist()):
+        if i >= n_poses:
+            held = values[i - n_poses]
+        if t_us < t0:
+            continue
+        if paced:
+            delay = start_wall + (t_us - t0) / 1e6 / clock.speed - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+        yield t_us, (poses[i] if i < n_poses else None), held
+
+
 @dataclass
 class ReplayReport:
     poses_delivered: int = 0
@@ -285,55 +327,17 @@ class ReplayReport:
 
 def replay(session: Session, clock: ReplayClock | None = None,
            on_pose=None, on_intensity=None) -> ReplayReport:
-    """Deliver pose and intensity events in global timestamp order, paced.
-
-    Ties are broken by a fixed priority (POSE before INTS). Events earlier
-    than the clock's start offset are skipped. With speed=inf events are
-    delivered as fast as possible in the identical order.
-    """
-    clock = clock or ReplayClock()
-    events: list[tuple[int, int, str, object]] = []
-    for pose in session.poses:
-        events.append((pose.t_us, 0, "pose", pose))
-    for t_us, value in session.intensities:
-        events.append((int(t_us), 1, "intensity", float(value)))
-    events.sort(key=lambda e: (e[0], e[1]))
-
+    """Deliver replay_events to callbacks: on_pose(pose), on_intensity(t_us, value)."""
     report = ReplayReport()
     start_wall = time.monotonic()
-    if events:
-        t0 = events[0][0] + int(clock.start_offset_s * 1e6)
-        paced = math.isfinite(clock.speed)
-        for t_us, _, kind, payload in events:
-            if t_us < t0:
-                continue
-            if paced:
-                target = start_wall + (t_us - t0) / 1e6 / clock.speed
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            if kind == "pose":
-                report.poses_delivered += 1
-                if on_pose is not None:
-                    on_pose(payload)
-            else:
-                report.intensities_delivered += 1
-                if on_intensity is not None:
-                    on_intensity(t_us, payload)
+    for t_us, pose, value in replay_events(session, clock):
+        if pose is not None:
+            report.poses_delivered += 1
+            if on_pose is not None:
+                on_pose(pose)
+        else:
+            report.intensities_delivered += 1
+            if on_intensity is not None:
+                on_intensity(t_us, value)
     report.wall_time_s = time.monotonic() - start_wall
     return report
-
-
-def export_intensity_csv(session: Session, path) -> None:
-    """Write the INTS stream as `t_s,intensity` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "intensity"])
-        for t_us, value in session.intensities:
-            writer.writerow([f"{t_us / 1e6:.6f}", f"{value:.9g}"])
-
-
-def export_pose_csv(session: Session, path) -> None:
-    """Write the POSE stream in the trajectory CSV schema."""
-    from .trajectory import save_pose_csv
-    save_pose_csv(session.poses, path)

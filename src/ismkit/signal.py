@@ -78,16 +78,6 @@ class SegmentGrid:
     segment_count: int
     segment_duration_s: float = field(default=SEGMENT_MS / 1000.0)
 
-    def start(self, k: int) -> int:
-        return k * self.segment_len_samples
-
-    def slice(self, k: int) -> slice:
-        s = self.start(k)
-        return slice(s, s + self.segment_len_samples)
-
-    def midpoint_s(self, k: int) -> float:
-        return (k + 0.5) * self.segment_duration_s
-
 
 def segment_length(segment_ms: float, sample_rate_hz: float) -> int:
     """Samples in one segment window: round(segment_ms/1000 * rate), at least 2."""

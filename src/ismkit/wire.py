@@ -23,7 +23,7 @@ import math
 import socket
 import struct
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import DataError, ProtocolError
@@ -239,7 +239,8 @@ class Decoder:
     def __init__(self):
         self._buf = bytearray()
         self.resync_bytes = 0
-        self.errors: list[str] = []
+        # counts by error string, a bounded set however hostile the input
+        self.errors: Counter[str] = Counter()
 
     def feed(self, data: bytes) -> list[WireMessage]:
         self._buf.extend(data)
@@ -250,7 +251,7 @@ class Decoder:
                 del self._buf[:result.consumed]
             self.resync_bytes += result.skipped
             if result.error is not None:
-                self.errors.append(result.error)
+                self.errors[result.error] += 1
             if result.message is not None:
                 messages.append(result.message)
             elif result.consumed == 0:
@@ -386,7 +387,7 @@ class ReceiverStats:
     messages: int = 0
     frames: int = 0
     resync_bytes: int = 0
-    decode_errors: list[str] = field(default_factory=list)
+    decode_errors: Counter[str] = field(default_factory=Counter)
     got_end: bool = False
 
 

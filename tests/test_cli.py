@@ -343,6 +343,50 @@ class TestStreamLoopback:
         from ismkit.trajectory import load_pose_csv
         assert len(load_pose_csv(out_csv)) == 10
 
+    def test_stream_send_and_replay_endpoint_send_the_same_messages(self, tmp_path):
+        from ismkit.session import record
+        from ismkit.wire import End, Frame, Hello, IntensityOnly, Listener
+        rng = np.random.default_rng(7)
+        poses = [PoseSample(int(t), np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                 for i, t in enumerate(np.sort(rng.integers(10, 60, 40)) * 1000)]
+        # intensities before the first pose and on pose timestamps
+        ints = [(int(t), float(np.float32(rng.uniform(0, 3))))
+                for t in np.sort(rng.integers(0, 60, 40)) * 1000]
+        src = tmp_path / "same.isms"
+        record(src, poses=poses, intensities=ints, channels=1)
+
+        def capture(argv):
+            listener = Listener("127.0.0.1:0")
+            received = []
+            thread = threading.Thread(target=lambda: listener.receive(received.append))
+            thread.start()
+            assert main(argv + ["--endpoint", listener.endpoint, "--imax", "2"]) == 0
+            thread.join(30.0)
+            return received
+
+        sent = capture(["stream-send", str(src)])
+        replayed = capture(["replay", str(src), "--speed", "inf"])
+        assert sent == replayed
+        assert isinstance(sent[0], Hello) and isinstance(sent[-1], End)
+        assert sum(isinstance(m, Frame) for m in sent) == 40
+        assert sum(isinstance(m, IntensityOnly) for m in sent) == 40
+        assert len({m.rgb for m in sent if isinstance(m, Frame)}) > 1
+
+    def test_replay_intensity_csv_reads_back_as_profile(self, tmp_path):
+        from ismkit.session import record
+        ints = [(int((k + 0.5) * 5000), float(np.float32(0.1 * k))) for k in range(30)]
+        src = tmp_path / "ints.isms"
+        record(src, intensities=ints, channels=1)
+        out_csv = tmp_path / "ints_out.csv"
+        assert main(["replay", str(src), "--speed", "inf",
+                     "--intensity-csv", str(out_csv)]) == 0
+        profile = ism.load_profile_csv(out_csv)
+        # nine significant digits carry a float32 value exactly
+        assert np.array_equal(profile.values.astype(np.float32),
+                              np.float32([v for _, v in ints]))
+        assert profile.segment_duration_ms == pytest.approx(5.0)
+        assert profile.start_time_s == pytest.approx(0.0, abs=1e-9)
+
 
 class TestComposition:
     def test_simulate_analyze_convert_analyze(self, tmp_path, u_model):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ismkit.colormap import (ColorLut, NormalizationConfig, TURBO, load_lut,
-                             map_color, normalize, save_lut)
-from ismkit.errors import DataError, FileFormatError
+from ismkit.colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
+from ismkit.errors import DataError
 
 
 class TestNormalize:
@@ -79,21 +78,3 @@ class TestLut:
         entries = [(0, 0, 0)] * 255 + [(256, 0, 0)]
         with pytest.raises(DataError):
             ColorLut(tuple(entries))
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "turbo.lut"
-        save_lut(TURBO, path)
-        loaded = load_lut(path)
-        assert loaded.table == TURBO.table
-
-    def test_short_file_rejected(self, tmp_path):
-        path = tmp_path / "short.lut"
-        path.write_text("0 0 0\n" * 10)
-        with pytest.raises(FileFormatError):
-            load_lut(path)
-
-    def test_bad_line_reported(self, tmp_path):
-        path = tmp_path / "bad.lut"
-        path.write_text("0 0\n")
-        with pytest.raises(FileFormatError, match=r":1:"):
-            load_lut(path)

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ismkit.emd import (EmdConfig, count_zero_crossings, emd_decompose, find_extrema,
-                        imf_quality, segment_components)
+from ismkit.emd import EmdConfig, _component_arrays, emd_decompose, find_extrema
 from ismkit.errors import DataError
-from ismkit.signal import Waveform, segment
+from ismkit.signal import SegmentGrid, Waveform, segment
 
 from .reference_emd import dominant_freq, reference_sift
 
@@ -39,19 +38,26 @@ class TestFindExtrema:
         assert minima.tolist() == [7]
 
 
+def _crossings(x):
+    """Zero crossings of x as one segment of a one-row _component_arrays call."""
+    grid = SegmentGrid(x.size, 1, x.size / FS)
+    _, freq, _ = _component_arrays(np.asarray(x, dtype=np.float64)[None], grid)
+    return round(freq[0, 0] * 2.0 * grid.segment_duration_s)
+
+
 class TestZeroCrossings:
     def test_full_period_counts_two(self):
         seg = _tone(200.0, duration=0.005)
-        assert count_zero_crossings(seg) == 2
+        assert _crossings(seg) == 2
 
     def test_all_zero_counts_none(self):
-        assert count_zero_crossings(np.zeros(25)) == 0
+        assert _crossings(np.zeros(25)) == 0
 
     def test_crossing_through_exact_zero(self):
-        assert count_zero_crossings(np.array([1.0, 0.0, -1.0])) == 1
+        assert _crossings(np.array([1.0, 0.0, -1.0])) == 1
 
     def test_touch_without_crossing(self):
-        assert count_zero_crossings(np.array([1.0, 0.0, 1.0])) == 0
+        assert _crossings(np.array([1.0, 0.0, 1.0])) == 0
 
 
 class TestDecompose:
@@ -107,9 +113,12 @@ class TestDecompose:
         assert np.array_equal(a.residual.samples, b.residual.samples)
 
     def test_imf_criterion_approximately(self):
-        result = emd_decompose(Waveform(_tone(200.0), FS))
-        extrema, crossings = imf_quality(result.imfs[0])
-        assert abs(extrema - crossings) <= 2
+        h = emd_decompose(Waveform(_tone(200.0), FS)).imfs[0].samples
+        max_idx, min_idx = find_extrema(h)
+        signs = np.sign(h)
+        signs = signs[signs != 0]
+        crossings = np.count_nonzero(signs[1:] != signs[:-1])
+        assert abs(max_idx.size + min_idx.size - crossings) <= 2
 
     def test_monotone_frequency_ordering(self):
         x = _tone(50.0) + 0.7 * _tone(200.0) + 0.5 * _tone(400.0)
@@ -135,40 +144,45 @@ class TestDecompose:
         assert len(result.imfs) <= 3
 
 
+def _components(imf_set, grid):
+    """(amplitude, frequency, resolvable), each (segments, IMFs), of an IMF set."""
+    return [a.T for a in _component_arrays(
+        np.stack([imf.samples for imf in imf_set.imfs]), grid)]
+
+
 class TestSegmentComponents:
     def test_one_period_sine_segment(self):
         w = Waveform(_tone(200.0, duration=0.005), FS)
         imf_set = emd_decompose(Waveform(_tone(200.0), FS))
         grid = segment(Waveform(_tone(200.0), FS))
-        comps = segment_components(imf_set, grid)
-        assert len(comps) == 200
-        mid = comps[100][0]  # away from ends, first IMF
-        assert mid.resolvable
-        assert mid.amplitude == pytest.approx(1.0, rel=0.02)
-        assert mid.frequency_hz == pytest.approx(200.0, abs=1.0)
+        amp, freq, res = _components(imf_set, grid)
+        assert amp.shape[0] == 200
+        # away from ends, first IMF
+        assert res[100, 0]
+        assert amp[100, 0] == pytest.approx(1.0, rel=0.02)
+        assert freq[100, 0] == pytest.approx(200.0, abs=1.0)
         assert len(w) == grid.segment_len_samples
 
     def test_all_zero_segment_unresolvable(self):
         imf_set = emd_decompose(Waveform(np.concatenate([
             np.zeros(500), _tone(200.0, duration=0.2)]), FS))
         grid = segment(Waveform(np.zeros(1500), FS))
-        comps = segment_components(imf_set, grid)
-        assert not comps[0][0].resolvable
-        assert comps[0][0].amplitude == pytest.approx(0.0, abs=1e-6)
+        amp, _, res = _components(imf_set, grid)
+        assert not res[0, 0]
+        assert amp[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_slow_component_unresolvable(self):
         # 50 Hz has under 2 crossings in any 5 ms window
         x = _tone(50.0, duration=0.1)
         imf_set = emd_decompose(Waveform(x, FS))
         grid = segment(Waveform(x, FS))
-        comps = segment_components(imf_set, grid)
-        assert not any(c[0].resolvable for c in comps)
+        _, _, res = _components(imf_set, grid)
+        assert not res[:, 0].any()
 
     def test_amplitudes_non_negative(self):
         x = np.random.default_rng(9).standard_normal(1000)
         imf_set = emd_decompose(Waveform(x, FS))
         grid = segment(Waveform(x, FS))
-        for seg_comps in segment_components(imf_set, grid):
-            for c in seg_comps:
-                assert c.amplitude >= 0
-                assert c.frequency_hz >= 0
+        amp, freq, _ = _components(imf_set, grid)
+        assert np.all(amp >= 0)
+        assert np.all(freq >= 0)

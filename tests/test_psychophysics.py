@@ -3,11 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ismkit.emd import SegmentComponent
 from ismkit.errors import DataError, FileFormatError
 from ismkit.psychophysics import (DEFAULT_MODEL, PsychoModel, amplitude_for_intensity,
                                   exponent_at, intensity_single, load_model,
-                                  save_model, threshold_at, total_intensity)
+                                  save_model, threshold_at)
 
 
 class TestThresholdAt:
@@ -52,26 +51,6 @@ class TestIntensitySingle:
            f=st.floats(10.0, 800.0))
     def test_monotone_in_amplitude(self, u_model, a1, factor, f):
         assert intensity_single(a1, f, u_model) < intensity_single(a1 * factor, f, u_model)
-
-
-class TestTotalIntensity:
-    def test_two_at_threshold(self, u_model):
-        comps = [SegmentComponent(threshold_at(u_model, 200.0), 200.0, True),
-                 SegmentComponent(threshold_at(u_model, 400.0), 400.0, True)]
-        assert total_intensity(comps, u_model) == pytest.approx(2.0, rel=1e-12)
-
-    def test_empty_is_zero(self, u_model):
-        assert total_intensity([], u_model) == 0.0
-
-    def test_mixed_components(self, u_model):
-        comps = [SegmentComponent(2 * threshold_at(u_model, 200.0), 200.0, True),
-                 SegmentComponent(threshold_at(u_model, 400.0), 400.0, True)]
-        assert total_intensity(comps, u_model) == pytest.approx(3.0, rel=1e-12)
-
-    def test_unresolvable_excluded(self, u_model):
-        comps = [SegmentComponent(2 * threshold_at(u_model, 200.0), 200.0, True),
-                 SegmentComponent(50.0, 50.0, False)]
-        assert total_intensity(comps, u_model) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestInverse:

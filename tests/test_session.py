@@ -5,10 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from ismkit import ism
 from ismkit.errors import DataError, FileFormatError
-from ismkit.session import (ReplayClock, Session, SessionWriter, export_intensity_csv,
-                            record, replay)
-from ismkit.trajectory import PoseSample
+from ismkit.session import (_CHUNK_HEADER, _INTS_RECORD, _POSE_RECORD, TAG_INTENSITY,
+                            TAG_POSE, ReplayClock, Session, SessionWriter, record, replay,
+                            replay_events)
+from ismkit.trajectory import PoseSample, load_pose_csv, save_pose_csv
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -177,23 +179,94 @@ class TestReplay:
         with pytest.raises(DataError):
             ReplayClock(speed=0.0)
 
+    def test_callbacks_follow_the_event_merge(self, tmp_path):
+        path = tmp_path / "cb.isms"
+        _sample_session(path, n_poses=6, n_ints=9)
+        session = Session.open(path)
+        calls = []
+        report = replay(session, ReplayClock(speed=math.inf),
+                        on_pose=lambda p: calls.append((p.t_us, p, None)),
+                        on_intensity=lambda t, v: calls.append((t, None, v)))
+        expected = [(t, p, None if p is not None else v) for t, p, v in
+                    replay_events(session, ReplayClock(speed=math.inf))]
+        assert calls == expected
+        assert (report.poses_delivered, report.intensities_delivered) == (6, 9)
+
+
+def _brute_force_events(session, start_offset_s=0.0):
+    """The merge spelled out: sort by (time, pose first, stream order), hold the last value."""
+    events = ([(p.t_us, 0, k, p) for k, p in enumerate(session.poses)]
+              + [(int(t), 1, k, float(v)) for k, (t, v) in enumerate(session.intensities)])
+    events.sort(key=lambda e: e[:3])
+    out, held = [], 0.0
+    for t, kind, _, payload in events:
+        if kind == 1:
+            held = payload
+        if t >= events[0][0] + int(start_offset_s * 1e6):
+            out.append((t, payload if kind == 0 else None, held))
+    return out
+
+
+def _hand_written_session(path, rng, n_poses, n_ints, n_chunks):
+    """A session whose POSE and INTS records sit in shuffled, interleaved chunks."""
+    record(path, channels=1)
+    poses = [_POSE_RECORD.pack(int(t), *_f32(rng.standard_normal(3)), 1.0, 0.0, 0.0, 0.0)
+             for t in rng.integers(20, 60, n_poses) * 1000]
+    # intensity times start earlier, so some precede every pose
+    ints = [_INTS_RECORD.pack(int(t), float(np.float32(rng.uniform(0, 3))))
+            for t in rng.integers(0, 60, n_ints) * 1000]
+    chunks = [(tag, b"".join(records[i] for i in part))
+              for tag, records in ((TAG_POSE, poses), (TAG_INTENSITY, ints))
+              for part in np.array_split(rng.permutation(len(records)), n_chunks)]
+    with open(path, "ab") as fh:
+        for k in rng.permutation(len(chunks)):
+            tag, payload = chunks[k]
+            fh.write(_CHUNK_HEADER.pack(tag, len(payload)) + payload)
+
+
+class TestReplayEvents:
+    @pytest.mark.parametrize("seed, n_poses, n_ints", [
+        (0, 0, 0), (1, 0, 30), (2, 30, 0), (3, 40, 40), (4, 70, 20), (5, 20, 70)])
+    def test_matches_brute_force_merge(self, tmp_path, seed, n_poses, n_ints):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / f"rand{seed}.isms"
+        _hand_written_session(path, rng, n_poses, n_ints, n_chunks=3)
+        session = Session.open(path)
+        for offset in (0.0, 0.0125, 0.03):
+            got = list(replay_events(session, ReplayClock(math.inf, start_offset_s=offset)))
+            assert got == _brute_force_events(session, offset)
+
+    def test_hold_last_and_tie(self):
+        poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in (0, 10, 10, 30)]
+        session = Session(5000.0, 1, 5.0, "", np.zeros((0, 1), np.float32), poses,
+                          np.array([[10, 2.0], [20, 3.0], [30, 4.0]]), {})
+        got = [(t, p is not None, v)
+               for t, p, v in replay_events(session, ReplayClock(math.inf))]
+        assert got == [(0, True, 0.0), (10, True, 0.0), (10, True, 0.0), (10, False, 2.0),
+                       (20, False, 3.0), (30, True, 3.0), (30, False, 4.0)]
+
+    def test_negative_timestamp_rejected(self):
+        session = Session(5000.0, 1, 5.0, "", np.zeros((0, 1), np.float32), [],
+                          np.array([[-1.0, 1.0]]), {})
+        with pytest.raises(DataError):
+            list(replay_events(session))
+
 
 class TestCsvExport:
     def test_intensity_csv(self, tmp_path):
         path = tmp_path / "s.isms"
         _sample_session(path, n_ints=3)
         out = tmp_path / "ints.csv"
-        export_intensity_csv(Session.open(path), out)
+        session = Session.open(path)
+        ism.save_intensity_csv(session.intensities[:, 0] / 1e6, session.intensities[:, 1], out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t_s,intensity"
         assert len(lines) == 4
 
     def test_pose_csv(self, tmp_path):
-        from ismkit.session import export_pose_csv
-        from ismkit.trajectory import load_pose_csv
         path = tmp_path / "s.isms"
         _, poses, _ = _sample_session(path, n_poses=4)
         out = tmp_path / "poses.csv"
-        export_pose_csv(Session.open(path), out)
+        save_pose_csv(Session.open(path).poses, out)
         loaded = load_pose_csv(out)
         assert [p.t_us for p in loaded] == [p.t_us for p in poses]

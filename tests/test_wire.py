@@ -145,6 +145,14 @@ class TestDecoderStream:
         # buffer never grows without bound on garbage
         assert decoder.pending() < 4096 + 65536 + 9
 
+    def test_error_tally_stays_bounded(self):
+        header = b"ISMP" + bytes([99]) + (0).to_bytes(4, "little")
+        decoder = Decoder()
+        blob = header * 1000
+        for _ in range(100):
+            assert decoder.feed(blob) == []
+        assert decoder.errors == {"unknown-type:99": 100_000}
+
     def test_fuzz_with_embedded_messages_recovers(self):
         rng = np.random.default_rng(1)
         valid = [Frame(i, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), float(i), (0, 0, 0))
