@@ -316,7 +316,10 @@ def cmd_replay(args) -> int:
     sender = None
     norm = cfg.norm()
     if args.endpoint or (cfg.endpoint and args.to_wire):
-        sender = wire.FrameSender(args.endpoint or cfg.endpoint)
+        # unpaced replay is a bulk transfer and lossless, as stream-send is;
+        # paced replay is a live feed, where stale frames make way
+        policy = "block" if math.isinf(args.speed) else "drop-oldest"
+        sender = wire.FrameSender(args.endpoint or cfg.endpoint, policy=policy)
         sender.send(_hello(session))
 
     poses_out: list[PoseSample] = []
@@ -334,6 +337,7 @@ def cmd_replay(args) -> int:
     wall_s = time.monotonic() - start_wall
     if sender is not None:
         sender_report = sender.close()
+        print(f"sent={sender_report.sent} drops={sender_report.drops}")
         if sender_report.error:
             raise ProtocolError(f"replay stream aborted: {sender_report.error}")
     if args.pose_csv:

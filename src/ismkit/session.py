@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, FileFormatError
-from .trajectory import PoseSample
+from .trajectory import PoseSample, poses_from_arrays
 
 MAGIC = b"ISMS"
 FORMAT_VERSION = 1
@@ -31,6 +31,9 @@ _HEADER = struct.Struct("<4sHdBdH")
 _CHUNK_HEADER = struct.Struct("<4sI")
 _POSE_RECORD = struct.Struct("<Q7f")
 _INTS_RECORD = struct.Struct("<Qf")
+_POSE_DTYPE = np.dtype([("t_us", "<u8"), ("position", "<f4", (3,)),
+                        ("orientation", "<f4", (4,))])
+_INTS_DTYPE = np.dtype([("t_us", "<u8"), ("value", "<f4")])
 
 TAG_VIBRATION = b"VIBR"
 TAG_POSE = b"POSE"
@@ -50,6 +53,13 @@ class ReplayClock:
             raise DataError(f"replay speed must be positive, got {self.speed}")
         if self.start_offset_s < 0:
             raise DataError("start offset must be non-negative")
+
+
+def _check_t_us(t_us: int, what: str) -> int:
+    """A timestamp a u64 record field can hold, else DataError."""
+    if not 0 <= t_us < 1 << 64:
+        raise DataError(f"{what} timestamp {t_us} outside the u64 microsecond range")
+    return t_us
 
 
 class SessionWriter:
@@ -88,6 +98,7 @@ class SessionWriter:
         self._counts["VIBR"] += arr.shape[0]
 
     def append_pose(self, pose: PoseSample) -> None:
+        _check_t_us(pose.t_us, "pose")
         if self._last_pose_t is not None and pose.t_us < self._last_pose_t:
             raise DataError(
                 f"pose timestamp regression: {pose.t_us} after {self._last_pose_t}")
@@ -96,7 +107,7 @@ class SessionWriter:
         self._counts["POSE"] += 1
 
     def append_intensity(self, t_us: int, intensity: float) -> None:
-        t_us = int(t_us)
+        t_us = _check_t_us(int(t_us), "intensity")
         if self._last_ints_t is not None and t_us < self._last_ints_t:
             raise DataError(
                 f"intensity timestamp regression: {t_us} after {self._last_ints_t}")
@@ -187,7 +198,7 @@ class Session:
 
             vib_parts: list[np.ndarray] = []
             poses: list[PoseSample] = []
-            ints: list[tuple[int, float]] = []
+            ints: list[np.ndarray] = []
             meta: dict[str, str] = {}
             extra: list[tuple[bytes, bytes]] = []
             while True:
@@ -210,13 +221,14 @@ class Session:
                 elif tag == TAG_POSE:
                     if length % _POSE_RECORD.size:
                         raise FileFormatError(f"{path}: POSE length not a record multiple")
-                    for rec in _POSE_RECORD.iter_unpack(payload):
-                        poses.append(PoseSample(rec[0], np.array(rec[1:4]),
-                                                np.array(rec[4:8])))
+                    rec = np.frombuffer(payload, dtype=_POSE_DTYPE)
+                    poses.extend(poses_from_arrays(rec["t_us"].tolist(), rec["position"],
+                                                   rec["orientation"]))
                 elif tag == TAG_INTENSITY:
                     if length % _INTS_RECORD.size:
                         raise FileFormatError(f"{path}: INTS length not a record multiple")
-                    ints.extend(_INTS_RECORD.iter_unpack(payload))
+                    rec = np.frombuffer(payload, dtype=_INTS_DTYPE)
+                    ints.append(np.stack([rec["t_us"], rec["value"]], axis=1, dtype=np.float64))
                 elif tag == TAG_META:
                     for line in payload.decode("utf-8").splitlines():
                         if line:
@@ -227,8 +239,7 @@ class Session:
 
         vibration = (np.concatenate(vib_parts, axis=0) if vib_parts
                      else np.zeros((0, channels), dtype=np.float32))
-        intensities = (np.array(ints, dtype=np.float64)
-                       if ints else np.zeros((0, 2)))
+        intensities = np.concatenate(ints) if ints else np.zeros((0, 2))
         return cls(sample_rate_hz=rate, channels=channels, segment_ms=segment_ms,
                    model_id=ident.decode("utf-8"), vibration=vibration, poses=poses,
                    intensities=intensities, meta=meta, extra_chunks=extra)

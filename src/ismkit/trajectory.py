@@ -10,6 +10,7 @@ offset o and the pivot c.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +37,48 @@ class PoseSample:
     orientation: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64)
-        quat = np.asarray(self.orientation, dtype=np.float64)
-        if pos.shape != (3,) or quat.shape != (4,):
-            raise DataError("pose needs a 3-vector position and 4-vector quaternion")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(quat))):
-            raise DataError("pose contains non-finite values")
-        norm = float(np.linalg.norm(quat))
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
-            raise DataError(f"quaternion norm {norm} deviates from 1 beyond {QUAT_NORM_TOL}")
+        pos, quat = validate_poses(self.position, self.orientation, ndim=1)
         object.__setattr__(self, "t_us", int(self.t_us))
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
+
+
+def validate_poses(positions, orientations, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The pose rule, over one pose (ndim=1) or a stack of them (ndim=2).
+
+    Positions are 3-vectors and orientations 4-vectors, all values finite,
+    and every quaternion's norm within QUAT_NORM_TOL of 1. Returns both as
+    float64 arrays; a DataError describes the first pose that breaks the rule.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    quat = np.asarray(orientations, dtype=np.float64)
+    if pos.ndim != ndim or pos.shape[-1:] != (3,) or quat.shape != pos.shape[:-1] + (4,):
+        raise DataError("pose needs a 3-vector position and 4-vector quaternion")
+    # vecdot is the per-row dot that np.linalg.norm takes; NaN fails the
+    # comparison, so a non-finite quaternion fails it too
+    norm = np.sqrt(np.vecdot(quat, quat))
+    ok = (abs(norm - 1.0) <= QUAT_NORM_TOL) & np.isfinite(pos).all(axis=-1)
+    # one pose gives a numpy bool, whose all() costs more than the check
+    if not (ok if ndim == 1 else ok.all()):
+        first = int(np.argmin(ok))
+        if not (np.isfinite(pos.reshape(-1, 3)[first]).all()
+                and np.isfinite(quat.reshape(-1, 4)[first]).all()):
+            raise DataError("pose contains non-finite values")
+        raise DataError(f"quaternion norm {float(norm.flat[first])} deviates from 1 "
+                        f"beyond {QUAT_NORM_TOL}")
+    return pos, quat
+
+
+def poses_from_arrays(t_us: list[int], positions: np.ndarray,
+                      orientations: np.ndarray) -> list[PoseSample]:
+    """PoseSamples over the rows of pose arrays, checked once by validate_poses."""
+    pos, quat = validate_poses(positions, orientations)
+    poses = []
+    for t, p, q in zip(t_us, pos, quat):
+        pose = object.__new__(PoseSample)
+        pose.__dict__.update(t_us=t, position=p, orientation=q)
+        poses.append(pose)
+    return poses
 
 
 @dataclass(frozen=True)
@@ -84,13 +115,14 @@ class TrajectoryConfig:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrices of unit quaternions (w, x, y, z): shape (..., 4) to (..., 3, 3)."""
+    q = np.asarray(q, dtype=np.float64)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def tip_position(pose: PoseSample, calibration: ToolCalibration) -> np.ndarray:
@@ -136,52 +168,70 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
     A pose is emitted only when its tip has moved at least min_spacing_m from
     the last emitted point AND at least 1/max_point_rate_hz has elapsed.
     Intensity comes from the profile segment whose midpoint is nearest the
-    pose timestamp (within align_tolerance_ms); outside the tolerance the
-    last known intensity is held, starting from zero.
+    pose timestamp (within align_tolerance_ms; the earlier one on a tie);
+    outside the tolerance the last known intensity is held, starting from
+    zero. Everything but the sequential decimation runs over whole arrays.
     """
     if not poses:
         raise DataError("empty pose stream")
     if len(profile) == 0:
         raise DataError("empty intensity profile")
-    t_prev = None
-    for pose in poses:
-        if t_prev is not None and pose.t_us <= t_prev:
-            raise DataError(f"pose timestamps not strictly increasing at t_us={pose.t_us}")
-        t_prev = pose.t_us
+    t_us = [p.t_us for p in poses]
+    for prev, t in zip(t_us, t_us[1:]):
+        if t <= prev:
+            raise DataError(f"pose timestamps not strictly increasing at t_us={t}")
 
-    midpoints = profile.midpoints_s()
-    values = profile.values
-    tol_s = config.align_tolerance_ms / 1000.0
-    min_interval_us = 1e6 / config.max_point_rate_hz
+    intensity = _aligned_intensity(np.array(t_us, dtype=np.float64) / 1e6, profile,
+                                   config.align_tolerance_ms / 1000.0)
+    # a stacked matmul forms each pose's product as tip_position's does
+    tips = (np.array([p.position for p in poses])
+            + np.matmul(quat_to_matrix(np.array([p.orientation for p in poses])),
+                        calibration.tip_offset))
 
+    kept = _decimate(t_us, tips, config)
     points: list[TrajectoryPoint] = []
-    last_tip = None
-    last_t_us = None
-    held_intensity = 0.0
-    for pose in poses:
-        t_s = pose.t_us / 1e6
-        j = int(np.searchsorted(midpoints, t_s))
-        best = None
-        for cand in (j - 1, j):
-            if 0 <= cand < midpoints.size:
-                d = abs(midpoints[cand] - t_s)
-                if best is None or d < best[0]:
-                    best = (d, cand)
-        if best is not None and best[0] <= tol_s:
-            held_intensity = float(values[best[1]])
-
-        tip = tip_position(pose, calibration)
-        if last_tip is not None:
-            if np.linalg.norm(tip - last_tip) < config.min_spacing_m - SPACING_EPSILON_M:
-                continue
-            if pose.t_us - last_t_us < min_interval_us:
-                continue
-        rgb = map_color(normalize(held_intensity, norm), lut)
-        points.append(TrajectoryPoint(t_us=pose.t_us, tip_position=tip,
-                                      intensity=held_intensity, rgb=rgb))
-        last_tip = tip
-        last_t_us = pose.t_us
+    for i, tip in zip(kept, tips[kept]):
+        held = float(intensity[i])
+        points.append(TrajectoryPoint(t_us=t_us[i], tip_position=tip, intensity=held,
+                                      rgb=map_color(normalize(held, norm), lut)))
     return points
+
+
+def _aligned_intensity(t_s: np.ndarray, profile: IntensityProfile,
+                       tol_s: float) -> np.ndarray:
+    """Per pose, the value of the nearest segment midpoint within tol_s, held forward."""
+    midpoints = profile.midpoints_s()
+    n = midpoints.size
+    j = np.searchsorted(midpoints, t_s)
+    before, after = np.maximum(j - 1, 0), np.minimum(j, n - 1)
+    d_before = np.where(j > 0, np.abs(midpoints[before] - t_s), np.inf)
+    d_after = np.where(j < n, np.abs(midpoints[after] - t_s), np.inf)
+    take_after = d_after < d_before
+    nearest = np.where(take_after, after, before)
+    aligned = np.where(take_after, d_after, d_before) <= tol_s
+    last = np.maximum.accumulate(np.where(aligned, np.arange(t_s.size), -1))
+    return np.where(last >= 0, profile.values[nearest[np.maximum(last, 0)]], 0.0)
+
+
+def _decimate(t_us: list[int], tips: np.ndarray, config: TrajectoryConfig) -> list[int]:
+    """Indices of the poses the spacing and rate gates emit, first pose always."""
+    min_spacing = config.min_spacing_m - SPACING_EPSILON_M
+    min_interval_us = 1e6 / config.max_point_rate_hz
+    rows = tips.tolist()
+    kept = [0]
+    last_t, (lx, ly, lz) = t_us[0], rows[0]
+    for i in range(1, len(rows)):
+        t, (x, y, z) = t_us[i], rows[i]
+        dx, dy, dz = x - lx, y - ly, z - lz
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if math.isclose(dist, min_spacing, rel_tol=1e-12):
+            # np.linalg.norm may round differently; let it decide near-ties
+            dist = float(np.linalg.norm(tips[i] - tips[kept[-1]]))
+        if dist < min_spacing or t - last_t < min_interval_us:
+            continue
+        kept.append(i)
+        last_t, lx, ly, lz = t, x, y, z
+    return kept
 
 
 def export_ply(points: list[TrajectoryPoint], path) -> None:

@@ -11,7 +11,11 @@ Framing is magic-prefixed and length-prefixed, little-endian throughout:
 
 The decoder never raises on arbitrary bytes: it reports need-more-bytes, a
 message, or an error, and always makes progress once a non-decodable prefix
-is present. Desync recovery scans forward to the next magic. The sender runs
+is present. Desync recovery scans forward to the next magic. `Decoder.feed`
+parses its pending buffer by offset and compacts it once per feed, so a feed
+costs time linear in its bytes however many messages it holds. A decoded
+float is already float32, and an integer already in its field's range, so
+a decoded message is only checked for finite values. The sender runs
 a bounded queue with drop-oldest backpressure: when a live consumer lags,
 stale frames are discarded (and counted) rather than delaying fresh ones;
 control messages (Hello/End) are never dropped.
@@ -42,6 +46,7 @@ _HEADER = struct.Struct("<4sBI")
 _HELLO = struct.Struct("<BBIH")
 _FRAME = struct.Struct("<Q8f5B")
 _INTENSITY = struct.Struct("<Qf")
+_F32 = struct.Struct("<f")
 
 PAYLOAD_SIZES = {
     TYPE_HELLO: _HELLO.size,
@@ -52,8 +57,10 @@ PAYLOAD_SIZES = {
 
 
 def _f32(value: float, what: str) -> float:
-    v = float(value)
-    packed = struct.unpack("<f", struct.pack("<f", v))[0]
+    try:
+        packed = _F32.unpack(_F32.pack(float(value)))[0]
+    except OverflowError:  # finite, but beyond the float32 range
+        packed = math.inf
     if not math.isfinite(packed):
         raise DataError(f"{what} is not a finite float32: {value}")
     return packed
@@ -163,12 +170,71 @@ class DecodeResult:
         return self.message is None and self.error is None
 
 
-def _magic_prefix_keep(data) -> int:
-    """Length of the longest suffix of data that is a proper prefix of MAGIC."""
-    for keep in range(min(len(data), len(MAGIC) - 1), 0, -1):
-        if data[-keep:] == MAGIC[:keep]:
+def _magic_prefix_keep(buf, off: int) -> int:
+    """Length of the longest suffix of buf[off:] that is a proper prefix of MAGIC."""
+    for keep in range(min(len(buf) - off, len(MAGIC) - 1), 0, -1):
+        if buf.endswith(MAGIC[:keep]):
             return keep
     return 0
+
+
+def _trusted(cls, fields: dict):
+    """A message built from fields the wire layout already bounds, unchecked."""
+    message = object.__new__(cls)
+    message.__dict__.update(fields)
+    return message
+
+
+def _decode_at(buf: bytes | bytearray, off: int
+               ) -> tuple[WireMessage | None, int, int, str | None]:
+    """decode() of buf[off:] without copying: (message, consumed, skipped, error)."""
+    idx = buf.find(MAGIC, off)
+    if idx == -1:
+        consumed = len(buf) - off - _magic_prefix_keep(buf, off)
+        return None, consumed, consumed, ("bad-magic" if consumed else None)
+    skipped = idx - off
+    avail = len(buf) - idx
+    if avail < HEADER_SIZE:
+        return None, skipped, skipped, None
+    _, msg_type, payload_len = _HEADER.unpack_from(buf, idx)
+
+    expected = PAYLOAD_SIZES.get(msg_type)
+    if expected is None:
+        if payload_len <= MAX_SKIP_PAYLOAD and avail >= HEADER_SIZE + payload_len:
+            consumed = skipped + HEADER_SIZE + payload_len
+        else:
+            consumed = skipped + HEADER_SIZE
+        return None, consumed, skipped, f"unknown-type:{msg_type}"
+    if payload_len != expected:
+        return None, skipped + len(MAGIC), skipped, "length-mismatch"
+    if avail < HEADER_SIZE + expected:
+        return None, skipped, skipped, None
+    consumed = skipped + HEADER_SIZE + expected
+    start = idx + HEADER_SIZE
+
+    if msg_type == TYPE_FRAME:
+        f = _FRAME.unpack_from(buf, start)
+        cls, fields = Frame, {"t_us": f[0], "position": f[1:4], "quaternion": f[4:8],
+                              "intensity": f[8], "rgb": f[9:12]}
+        # float32 values cannot overflow a float64 sum: it is finite iff all are
+        finite = math.isfinite(sum(f[1:9]))
+    elif msg_type == TYPE_INTENSITY:
+        t_us, intensity = _INTENSITY.unpack_from(buf, start)
+        cls, fields = IntensityOnly, {"t_us": t_us, "intensity": intensity}
+        finite = math.isfinite(intensity)
+    elif msg_type == TYPE_HELLO:
+        version, channels, rate, seg = _HELLO.unpack_from(buf, start)
+        if version != PROTOCOL_VERSION:
+            return None, consumed, skipped, f"version-mismatch:{version}"
+        return Hello(channels, rate, seg, version=version), consumed, skipped, None
+    else:
+        return End(), consumed, skipped, None
+    try:
+        # only a non-finite float reaches the constructor, whose error names it
+        message = _trusted(cls, fields) if finite else cls(**fields)
+    except DataError as exc:
+        return None, consumed, skipped, f"bad-field:{exc}"
+    return message, consumed, skipped, None
 
 
 def decode(data: bytes | bytearray | memoryview) -> DecodeResult:
@@ -180,57 +246,8 @@ def decode(data: bytes | bytearray | memoryview) -> DecodeResult:
     sane (<= 64 KiB), otherwise just the header; a length mismatch on a known
     type abandons the header as a desync and advances past the magic.
     """
-    buf = bytes(data)
-    idx = buf.find(MAGIC)
-    if idx == -1:
-        keep = _magic_prefix_keep(buf)
-        consumed = len(buf) - keep
-        if consumed == 0:
-            return DecodeResult(None, 0)
-        return DecodeResult(None, consumed, skipped=consumed, error="bad-magic")
-    skipped = idx
-    rest = buf[idx:]
-    if len(rest) < HEADER_SIZE:
-        return DecodeResult(None, skipped, skipped=skipped)
-    _, msg_type, payload_len = _HEADER.unpack_from(rest)
-
-    expected = PAYLOAD_SIZES.get(msg_type)
-    if expected is None:
-        if payload_len <= MAX_SKIP_PAYLOAD and len(rest) >= HEADER_SIZE + payload_len:
-            consumed = skipped + HEADER_SIZE + payload_len
-        else:
-            consumed = skipped + HEADER_SIZE
-        return DecodeResult(None, consumed, skipped=skipped,
-                            error=f"unknown-type:{msg_type}")
-    if payload_len != expected:
-        return DecodeResult(None, skipped + len(MAGIC), skipped=skipped,
-                            error="length-mismatch")
-    total = HEADER_SIZE + expected
-    if len(rest) < total:
-        return DecodeResult(None, skipped, skipped=skipped)
-    payload = rest[HEADER_SIZE:total]
-    consumed = skipped + total
-
-    try:
-        if msg_type == TYPE_HELLO:
-            version, channels, rate, seg = _HELLO.unpack(payload)
-            if version != PROTOCOL_VERSION:
-                return DecodeResult(None, consumed, skipped=skipped,
-                                    error=f"version-mismatch:{version}")
-            message: WireMessage = Hello(channels, rate, seg, version=version)
-        elif msg_type == TYPE_FRAME:
-            fields = _FRAME.unpack(payload)
-            message = Frame(t_us=fields[0], position=fields[1:4],
-                            quaternion=fields[4:8], intensity=fields[8],
-                            rgb=fields[9:12])
-        elif msg_type == TYPE_INTENSITY:
-            t_us, intensity = _INTENSITY.unpack(payload)
-            message = IntensityOnly(t_us, intensity)
-        else:
-            message = End()
-    except DataError as exc:
-        return DecodeResult(None, consumed, skipped=skipped, error=f"bad-field:{exc}")
-    return DecodeResult(message, consumed, skipped=skipped)
+    message, consumed, skipped, error = _decode_at(bytes(data), 0)
+    return DecodeResult(message, consumed, skipped=skipped, error=error)
 
 
 class Decoder:
@@ -243,19 +260,22 @@ class Decoder:
         self.errors: Counter[str] = Counter()
 
     def feed(self, data: bytes) -> list[WireMessage]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf.extend(data)
         messages: list[WireMessage] = []
+        off = 0
         while True:
-            result = decode(self._buf)
-            if result.consumed:
-                del self._buf[:result.consumed]
-            self.resync_bytes += result.skipped
-            if result.error is not None:
-                self.errors[result.error] += 1
-            if result.message is not None:
-                messages.append(result.message)
-            elif result.consumed == 0:
-                return messages
+            message, consumed, skipped, error = _decode_at(buf, off)
+            off += consumed
+            self.resync_bytes += skipped
+            if error is not None:
+                self.errors[error] += 1
+            if message is not None:
+                messages.append(message)
+            elif consumed == 0:
+                break
+        del buf[:off]
+        return messages
 
     def pending(self) -> int:
         return len(self._buf)

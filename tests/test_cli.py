@@ -372,6 +372,26 @@ class TestStreamLoopback:
         assert sum(isinstance(m, IntensityOnly) for m in sent) == 40
         assert len({m.rgb for m in sent if isinstance(m, Frame)}) > 1
 
+    def test_replay_speed_inf_endpoint_delivers_every_message(self, tmp_path, capsys):
+        from ismkit.session import record
+        from ismkit.wire import End, Listener
+        # far more messages than the sender's queue holds
+        poses = [PoseSample(i * 8333, np.array([i * 1e-4, 0.0, 0.0]), IDENTITY_Q)
+                 for i in range(3000)]
+        ints = [(i * 5000 + 2500, float(np.float32(i % 7 * 0.25))) for i in range(5000)]
+        src = tmp_path / "many.isms"
+        record(src, poses=poses, intensities=ints, channels=1)
+        listener = Listener("127.0.0.1:0")
+        received = []
+        thread = threading.Thread(target=lambda: listener.receive(received.append))
+        thread.start()
+        assert main(["replay", str(src), "--speed", "inf",
+                     "--endpoint", listener.endpoint]) == 0
+        thread.join(30.0)
+        assert len(received) == 1 + 3000 + 5000 + 1
+        assert isinstance(received[-1], End)
+        assert f"sent={len(received)} drops=0" in capsys.readouterr().out.splitlines()
+
     def test_replay_intensity_csv_reads_back_as_profile(self, tmp_path):
         from ismkit.session import record
         ints = [(int((k + 0.5) * 5000), float(np.float32(0.1 * k))) for k in range(30)]

@@ -95,6 +95,82 @@ class TestValidation:
             writer.append_vibration(np.zeros((10, 2), dtype=np.float32))
         writer.close()
 
+    @pytest.mark.parametrize("t_us", [-5, -1, 2 ** 64, 2 ** 70])
+    def test_timestamp_outside_u64_rejected_at_append(self, tmp_path, t_us):
+        path = tmp_path / "t.isms"
+        writer = SessionWriter(path, channels=1)
+        writer.append_pose(PoseSample(0, np.zeros(3), IDENTITY_Q))
+        writer.append_intensity(0, 1.0)
+        with pytest.raises(DataError, match="u64"):
+            writer.append_pose(PoseSample(t_us, np.zeros(3), IDENTITY_Q))
+        with pytest.raises(DataError, match="u64"):
+            writer.append_intensity(t_us, 1.0)
+        writer.close()
+        session = Session.open(path)
+        assert [p.t_us for p in session.poses] == [0]
+        assert session.intensities.tolist() == [[0.0, 1.0]]
+
+    def test_largest_u64_timestamp_stored(self, tmp_path):
+        path = tmp_path / "max.isms"
+        record(path, poses=[PoseSample(2 ** 64 - 1, np.zeros(3), IDENTITY_Q)],
+               intensities=[(2 ** 64 - 1, 0.5)], channels=1)
+        session = Session.open(path)
+        assert session.poses[0].t_us == 2 ** 64 - 1
+        assert session.intensities[0, 0] == float(2 ** 64 - 1)
+
+
+def _append_pose_chunk(path, records):
+    payload = b"".join(_POSE_RECORD.pack(t, *p, *q) for t, p, q in records)
+    with open(path, "ab") as fh:
+        fh.write(_CHUNK_HEADER.pack(TAG_POSE, len(payload)) + payload)
+
+
+class TestPoseChunks:
+    """POSE records are checked in bulk with the pose rule's types and messages."""
+
+    @pytest.mark.parametrize("records, message", [
+        ([(0, (0, 0, 0), (1, 0, 0, 0)), (10, (0, math.nan, 0), (1, 0, 0, 0))],
+         "pose contains non-finite values"),
+        ([(0, (0, 0, 0), (1, 0, math.inf, 0))], "pose contains non-finite values"),
+        # the first bad record is reported, not the later non-finite one
+        ([(0, (0, 0, 0), (1, 0, 0, 0)), (5, (0, 0, 0), (1, 0.1, 0, 0)),
+          (9, (math.nan, 0, 0), (1, 0, 0, 0))],
+         "quaternion norm 1.004987562260361 deviates from 1 beyond 1e-06"),
+        ([(0, (0, 0, 0), (1.000002, 0, 0, 0))],
+         "quaternion norm 1.0000020265579224 deviates from 1 beyond 1e-06"),
+        ([(0, (1, 2, 3), (0, 0, 0, 0))],
+         "quaternion norm 0.0 deviates from 1 beyond 1e-06"),
+    ])
+    def test_bad_record_fails_open(self, tmp_path, records, message):
+        path = tmp_path / "bad_pose.isms"
+        _sample_session(path)
+        _append_pose_chunk(path, records)
+        with pytest.raises(DataError) as raised:
+            Session.open(path)
+        assert type(raised.value) is DataError
+        assert str(raised.value) == message
+
+    def test_poses_equal_per_record_construction(self, tmp_path):
+        rng = np.random.default_rng(3)
+        records = []
+        for i in range(500):
+            q = rng.standard_normal(4)
+            records.append((i * 8333, tuple(rng.uniform(-2, 2, 3)), tuple(q / np.linalg.norm(q))))
+        path = tmp_path / "many.isms"
+        record(path, channels=1)
+        _append_pose_chunk(path, records[:200])
+        _append_pose_chunk(path, [])
+        _append_pose_chunk(path, records[200:])
+        opened = Session.open(path).poses
+        assert len(opened) == 500
+        for pose, rec in zip(opened, _POSE_RECORD.iter_unpack(
+                b"".join(_POSE_RECORD.pack(t, *p, *q) for t, p, q in records))):
+            want = PoseSample(rec[0], np.array(rec[1:4]), np.array(rec[4:8]))
+            assert type(pose.t_us) is int and pose.t_us == want.t_us
+            assert pose.position.dtype == pose.orientation.dtype == np.float64
+            assert pose.position.tobytes() == want.position.tobytes()
+            assert pose.orientation.tobytes() == want.orientation.tobytes()
+
 
 class TestUnknownChunks:
     def test_skipped_and_preserved(self, tmp_path):

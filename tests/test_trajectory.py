@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ismkit.colormap import NormalizationConfig, map_color, normalize
+from ismkit.colormap import TURBO, NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
-from ismkit.trajectory import (PoseSample, ToolCalibration, TrajectoryConfig,
-                               build_trajectory, export_ply, load_calibration,
-                               load_ply, load_pose_csv, pivot_calibrate,
-                               quat_to_matrix, save_calibration, save_pose_csv,
-                               tip_position)
+from ismkit.trajectory import (SPACING_EPSILON_M, PoseSample, ToolCalibration,
+                               TrajectoryConfig, build_trajectory, export_ply,
+                               load_calibration, load_ply, load_pose_csv,
+                               pivot_calibrate, quat_to_matrix, save_calibration,
+                               save_pose_csv, tip_position, validate_poses)
+
+from .reference_trajectory import reference_trajectory
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -39,6 +44,62 @@ class TestPoseSample:
         p = PoseSample(5, np.array([1.0, 2.0, 3.0]), IDENTITY_Q)
         assert p.t_us == 5
 
+    def test_huge_finite_position_accepted(self):
+        # its squared length overflows, which must not read as non-finite
+        p = PoseSample(0, np.array([1e200, -1e300, 0.0]), IDENTITY_Q)
+        assert p.position[1] == -1e300
+
+    @pytest.mark.parametrize("position, orientation, message", [
+        ([0.0, np.nan, 0.0], [1.0, 0.0, 0.0, 0.0], "pose contains non-finite values"),
+        ([0.0, 0.0, 0.0], [1.0, 0.0, np.inf, 0.0], "pose contains non-finite values"),
+        ([0.0, 0.0, 0.0], [1.0, 0.1, 0.0, 0.0],
+         "quaternion norm 1.004987562112089 deviates from 1 beyond 1e-06"),
+        ([0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0],
+         "quaternion norm inf deviates from 1 beyond 1e-06"),
+        ([0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+         "pose needs a 3-vector position and 4-vector quaternion"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rule_messages(self, position, orientation, message):
+        with pytest.raises(DataError) as single:
+            PoseSample(0, np.array(position), np.array(orientation))
+        assert str(single.value) == message
+
+    def test_stack_reports_first_bad_pose(self):
+        pos = np.zeros((6, 3))
+        quat = np.tile(IDENTITY_Q, (6, 1))
+        quat[2] = [1.0, 0.1, 0.0, 0.0]
+        pos[4, 1] = np.inf
+        with pytest.raises(DataError, match="quaternion norm 1.004987562112089"):
+            validate_poses(pos, quat)
+        quat[2] = IDENTITY_Q
+        with pytest.raises(DataError, match="non-finite"):
+            validate_poses(pos, quat)
+        pos[4, 1] = 1e300
+        out_pos, out_quat = validate_poses(pos, quat)
+        assert out_pos.dtype == out_quat.dtype == np.float64
+
+    def test_stack_agrees_with_single_pose_rule(self):
+        rng = np.random.default_rng(11)
+        quat = rng.standard_normal((4000, 4))
+        quat /= np.linalg.norm(quat, axis=1)[:, None]
+        # norms spread across the tolerance edge
+        quat *= 1.0 + rng.uniform(-2e-6, 2e-6, (4000, 1))
+        pos = rng.standard_normal((4000, 3))
+        for i in range(4000):
+            try:
+                validate_poses(pos[i:i + 1], quat[i:i + 1])
+                stack_ok = True
+            except DataError:
+                stack_ok = False
+            try:
+                PoseSample(i, pos[i], quat[i])
+                single_ok = True
+            except DataError:
+                single_ok = False
+            ref_ok = abs(float(np.linalg.norm(quat[i])) - 1.0) <= 1e-6
+            assert stack_ok == single_ok == ref_ok
+
 
 class TestTipPosition:
     def test_identity_orientation(self):
@@ -57,6 +118,15 @@ class TestTipPosition:
             pose = PoseSample(0, rng.standard_normal(3), _random_quat(rng))
             assert tip_position(pose, ToolCalibration(np.zeros(3))) == pytest.approx(
                 pose.position)
+
+    def test_matrix_stack_matches_single_quaternions(self):
+        rng = np.random.default_rng(4)
+        quats = np.array([_random_quat(rng) for _ in range(50)])
+        stacked = quat_to_matrix(quats)
+        assert stacked.shape == (50, 3, 3)
+        for q, m in zip(quats, stacked):
+            assert np.array_equal(quat_to_matrix(q), m)
+            assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
 
     def test_rigidity_under_global_transform(self):
         rng = np.random.default_rng(2)
@@ -193,6 +263,126 @@ class TestBuildTrajectory:
             poses, profile, config=TrajectoryConfig(min_spacing_m=0.0001))
         dts = np.diff([p.t_us for p in points])
         assert np.all(dts >= 5000)
+
+
+def _same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.t_us == b.t_us
+        assert np.array_equal(a.tip_position, b.tip_position)
+        assert a.intensity == b.intensity and type(a.intensity) is float
+        assert a.rgb == b.rgb
+
+
+@st.composite
+def _trajectory_case(draw):
+    """Poses, profile and settings that sit on the edges of every rule."""
+    seg_ms = draw(st.sampled_from([5.0, 2.5, 10.0, 7.3]))
+    start_s = draw(st.sampled_from([0.0, 0.0123]))
+    n_seg = draw(st.integers(1, 40))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=n_seg, max_size=n_seg))
+    profile = IntensityProfile(np.array(values), seg_ms, start_time_s=start_s)
+    tol_ms = draw(st.sampled_from([20.0, 2.5, seg_ms / 2, 0.5]))
+    config = TrajectoryConfig(
+        min_spacing_m=draw(st.sampled_from([0.002, 0.0005, 0.01])),
+        max_point_rate_hz=draw(st.sampled_from([200.0, 1000.0, 37.0])),
+        align_tolerance_ms=tol_ms)
+
+    seg_us = seg_ms * 1000.0
+    start_us = start_s * 1e6
+    times = set()
+    for _ in range(draw(st.integers(1, 50))):
+        k = draw(st.integers(-2, n_seg + 2))
+        kind = draw(st.sampled_from(["between", "edge", "midpoint", "any"]))
+        if kind == "between":  # tied between midpoints k and k + 1
+            t = start_us + (k + 1) * seg_us
+        elif kind == "edge":  # at the alignment tolerance
+            t = start_us + (k + 0.5) * seg_us + draw(st.sampled_from([-1, 1])) * tol_ms * 1e3
+        elif kind == "midpoint":
+            t = start_us + (k + 0.5) * seg_us
+        else:
+            t = draw(st.floats(0.0, start_us + (n_seg + 3) * seg_us))
+        times.add(max(0, int(round(t))) + draw(st.sampled_from([0, 0, 1, -1])))
+    times = sorted(t for t in times if t >= 0)
+
+    direction = draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.0, 0.8)]))
+    spacing = config.min_spacing_m
+    steps = st.sampled_from([spacing, spacing - SPACING_EPSILON_M, spacing / 3,
+                             2 * spacing, 0.0])
+    rotate = draw(st.booleans())
+    poses, x = [], 0.0
+    for t in times:
+        x += draw(st.one_of(steps, st.floats(0.0, 3 * spacing)))
+        if rotate:
+            q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+            q = q / np.linalg.norm(q) if np.linalg.norm(q) > 0.1 else IDENTITY_Q
+        else:
+            q = IDENTITY_Q
+        poses.append(PoseSample(t, x * np.array(direction), q))
+    offset = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.01, -0.02, 0.15),
+                                   (-0.3, 0.07, 0.002)]))
+    norm = NormalizationConfig(draw(st.sampled_from([1.0, 0.5, 3.0])))
+    return poses, profile, ToolCalibration(np.array(offset)), norm, config
+
+
+class TestBuildTrajectoryMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_trajectory_case())
+    def test_matches_per_pose_loop(self, case):
+        poses, profile, calibration, norm, config = case
+        if not poses:
+            return
+        got = build_trajectory(poses, profile, calibration, norm=norm, config=config)
+        want = reference_trajectory(poses, profile, calibration, TURBO, norm, config)
+        _same_points(got, want)
+
+    def test_pivoting_tool_with_calibration(self):
+        offset = np.array([0.01, -0.02, 0.15])
+        poses = _pivot_poses(offset, np.array([0.3, 0.2, 0.1]), n=300, noise=0.01)
+        profile = IntensityProfile(np.random.default_rng(2).uniform(0, 2, 700))
+        for calibration in (ToolCalibration(np.zeros(3)), ToolCalibration(offset)):
+            config = TrajectoryConfig(min_spacing_m=0.005)
+            _same_points(build_trajectory(poses, profile, calibration, config=config),
+                         reference_trajectory(poses, profile, calibration, TURBO,
+                                              NormalizationConfig(1.0), config))
+
+    def test_exact_spacing_threshold(self):
+        # steps of exactly min_spacing_m - SPACING_EPSILON_M sit on the gate
+        config = TrajectoryConfig(min_spacing_m=0.002)
+        step = config.min_spacing_m - SPACING_EPSILON_M
+        poses = [PoseSample(i * 10_000, np.array([0.0, i * step, 0.0]), IDENTITY_Q)
+                 for i in range(60)]
+        profile = IntensityProfile(np.ones(200))
+        got = build_trajectory(poses, profile, config=config)
+        _same_points(got, reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)),
+                                               TURBO, NormalizationConfig(1.0), config))
+
+    def test_distance_rounding_tie_follows_numpy_norm(self):
+        # a step whose plain-float length rounds differently from
+        # np.linalg.norm, with the gate set exactly to np.linalg.norm's value
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            d = rng.uniform(0.001, 0.01, 3)
+            length = float(np.linalg.norm(d))
+            plain = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+            spacing = length + SPACING_EPSILON_M
+            if plain != length and spacing - SPACING_EPSILON_M == length:
+                break
+        else:
+            pytest.skip("no rounding tie found")
+        config = TrajectoryConfig(min_spacing_m=spacing)
+        poses = [PoseSample(0, np.zeros(3), IDENTITY_Q),
+                 PoseSample(100_000, d, IDENTITY_Q)]
+        profile = IntensityProfile(np.ones(50))
+        got = build_trajectory(poses, profile, config=config)
+        want = reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)), TURBO,
+                                    NormalizationConfig(1.0), config)
+        assert len(got) == len(want) == 2
+
+    def test_first_regression_named(self):
+        poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in (1, 5, 9, 9, 3)]
+        with pytest.raises(DataError, match="at t_us=9$"):
+            build_trajectory(poses, IntensityProfile(np.ones(5)))
 
 
 class TestPlyExport:

@@ -1,10 +1,13 @@
+import gc
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ismkit.errors import DataError, ProtocolError
+from ismkit.errors import DataError, IsmkitError, ProtocolError
 from ismkit.wire import (Decoder, End, Frame, FrameSender, Hello, IntensityOnly,
                          Listener, decode, encode, parse_endpoint)
 
@@ -19,6 +22,9 @@ frames = st.builds(Frame, t_us=st.integers(0, 2 ** 64 - 1),
                    intensity=f32, rgb=st.tuples(u8, u8, u8))
 intensities = st.builds(IntensityOnly, t_us=st.integers(0, 2 ** 64 - 1), intensity=f32)
 messages = st.one_of(hellos, frames, intensities, st.just(End()))
+# one feed of 8x the Frames: linear time reads about 8x, quadratic 64x; the
+# bound sits between them, on the geometric midpoint, ~3x from either side
+LINEAR_FEED_BOUND = 22.0
 
 
 class TestEncodeLayout:
@@ -41,6 +47,38 @@ class TestEncodeLayout:
             Frame(0, (float("nan"), 0, 0), (1, 0, 0, 0), 0.0, (0, 0, 0))
         with pytest.raises(DataError):
             IntensityOnly(0, float("inf"))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: IntensityOnly(1, v), "intensity is not a finite float32: {}"),
+        (lambda v: Frame(1, (0.0, v, 0.0), (1, 0, 0, 0), 0.0, (0, 0, 0)),
+         "position is not a finite float32: {}"),
+        (lambda v: Frame(1, (0, 0, 0), (1, 0, 0, v), 0.0, (0, 0, 0)),
+         "quaternion is not a finite float32: {}"),
+        (lambda v: Frame(1, (0, 0, 0), (1, 0, 0, 0), v, (0, 0, 0)),
+         "intensity is not a finite float32: {}"),
+    ], ids=["intensity-only", "frame-position", "frame-quaternion", "frame-intensity"])
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38, np.float64(4e38),
+                                       pytest.param(10 ** 400, id="int-1e400")])
+    def test_beyond_float32_range_is_data_error(self, build, message, value):
+        # finite, but struct cannot pack it as float32
+        with pytest.raises(DataError) as raised:
+            build(value)
+        assert isinstance(raised.value, IsmkitError)
+        assert str(raised.value) == message.format(value)
+
+    def test_largest_float32_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        assert IntensityOnly(1, top).intensity == top
+        assert Frame(1, (top, -top, 0), (1, 0, 0, 0), top, (0, 0, 0)).position[1] == -top
+
+    def test_field_values_normalized(self):
+        frame = Frame(np.uint64(7), np.array([0.1, 0.2, 0.3]), [1, 0, 0, 0],
+                      np.float32(0.5), (np.uint8(9), 8, True))
+        assert frame == Frame(7, (0.1, 0.2, 0.3), (1.0, 0.0, 0.0, 0.0), 0.5, (9, 8, 1))
+        assert frame.position == tuple(float(np.float32(v)) for v in (0.1, 0.2, 0.3))
+        assert all(type(v) is float for v in (*frame.position, *frame.quaternion,
+                                               frame.intensity))
+        assert all(type(v) is int for v in (frame.t_us, *frame.rgb))
 
     def test_pad_bytes_zero(self):
         frame = Frame(1, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (9, 8, 7))
@@ -169,6 +207,83 @@ class TestDecoderStream:
         assert len(got) >= 15
         t_values = [m.t_us for m in got]
         assert t_values == sorted(t_values)
+
+
+def _frame_stream(n: int) -> bytes:
+    return b"".join(encode(Frame(i, (0.5, -0.25, 1.0), (1.0, 0.0, 0.0, 0.0), i * 1e-3,
+                                 (i % 256, 2, 3))) for i in range(n))
+
+
+class TestDecoderOffsets:
+    def test_uneven_chunks_decode_like_one_feed(self):
+        rng = np.random.default_rng(5)
+        parts = []
+        for i in range(400):
+            parts.append(rng.integers(0, 256, size=rng.integers(0, 12), dtype=np.uint8).tobytes())
+            parts.append(encode(Frame(i, (0.5, 0.0, 0.0), (1, 0, 0, 0), 0.25, (1, 2, 3))
+                                if i % 3 else IntensityOnly(i, i * 0.5)))
+        blob = b"".join(parts)
+        whole = Decoder()
+        expected = whole.feed(blob)
+        chunked = Decoder()
+        got, pos = [], 0
+        while pos < len(blob):
+            n = int(rng.choice([1, 2, 8, 53, 54, 55, 700]))
+            got.extend(chunked.feed(blob[pos:pos + n]))
+            pos += n
+        assert got == expected
+        # garbage that fills a whole chunk is an error there, a skip here
+        assert chunked.resync_bytes == whole.resync_bytes
+        assert chunked.pending() == whole.pending()
+
+    def test_decoded_fields_have_plain_types(self):
+        (frame, ints) = Decoder().feed(encode(Frame(3, (1.5, 2, 3), (1, 0, 0, 0), 0.5, (4, 5, 6)))
+                                       + encode(IntensityOnly(4, 0.75)))
+        assert frame == Frame(3, (1.5, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (4, 5, 6))
+        assert ints == IntensityOnly(4, 0.75)
+        assert all(type(v) is float for v in (*frame.position, *frame.quaternion,
+                                               frame.intensity, ints.intensity))
+        assert all(type(v) is int for v in (frame.t_us, *frame.rgb, ints.t_us))
+
+    @pytest.mark.parametrize("field, offset", [("position", 1), ("quaternion", 6),
+                                               ("intensity", 8)])
+    def test_nonfinite_decoded_field_is_named(self, field, offset):
+        data = bytearray(encode(Frame(1, (0, 0, 0), (1, 0, 0, 0), 0.0, (0, 0, 0))))
+        data[9 + 8 + 4 * (offset - 1):9 + 8 + 4 * offset] = struct.pack("<f", float("inf"))
+        decoder = Decoder()
+        assert decoder.feed(bytes(data) + encode(End())) == [End()]
+        assert decoder.errors == {f"bad-field:{field} is not a finite float32: inf": 1}
+
+    def test_nonfinite_intensity_only_is_named(self):
+        data = encode(IntensityOnly(2, 1.0))[:-4] + struct.pack("<f", float("nan"))
+        result = decode(data)
+        assert result.message is None and result.consumed == len(data)
+        assert result.error == "bad-field:intensity is not a finite float32: nan"
+
+    def test_one_feed_takes_linear_time(self):
+        """One feed of 80,000 Frames costs about 8x one of 10,000, not 64x."""
+        small, large = _frame_stream(10_000), _frame_stream(80_000)
+
+        def feed_s(blob):
+            gc.collect()
+            # the collector's passes grow with the whole heap, not the decoder
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                n = len(Decoder().feed(blob))
+                return time.perf_counter() - start, n
+            finally:
+                gc.enable()
+
+        t_small, t_large = [], []
+        for _ in range(3):
+            t, n = feed_s(small)
+            t_small.append(t)
+            assert n == 10_000
+            t, n = feed_s(large)
+            t_large.append(t)
+            assert n == 80_000
+        assert min(t_large) < LINEAR_FEED_BOUND * min(t_small)
 
 
 class TestEndpoint:
