@@ -259,14 +259,17 @@ def cmd_stream_send(args) -> int:
                          f"{ENDPOINT_ENV})")
     session = sess.Session.open(args.session)
     norm = cfg.norm()
-    # every message is built before connecting, so a bad session sends nothing
-    messages = [_message(*event, norm) for event in
-                sess.replay_events(session, sess.ReplayClock(speed=math.inf))]
+    # Session.open checked the poses; with these intensities every message
+    # builds, so a bad session sends nothing
+    values = session.intensities[:, 1]
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise DataError("session intensities must be finite and non-negative")
+    events = sess.replay_events(session, sess.ReplayClock(speed=math.inf))
     # bulk transfer of a recorded session is lossless; drop-oldest is for live feeds
     sender = wire.FrameSender(cfg.endpoint, queue_capacity=args.queue, policy="block")
     sender.send(_hello(session))
-    for message in messages:
-        sender.send(message)
+    for event in events:
+        sender.send(_message(*event, norm))
     report = sender.close()
     print(f"sent={report.sent} drops={report.drops}")
     if report.error:

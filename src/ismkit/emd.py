@@ -1,22 +1,22 @@
 """Empirical Mode Decomposition and per-segment component estimation.
 
-The decomposition follows the classic sifting recipe: cubic-spline envelopes
-through the local extrema, subtract the envelope mean, repeat until the
-normalized squared change between iterations drops below a threshold, then
-peel the intrinsic mode function off and continue on the remainder. Envelope
-end-swing is suppressed by mirroring a few extrema beyond each edge before
-fitting the splines.
+The decomposition follows the classic sifting recipe (Rilling, Flandrin and
+Goncalves, "On empirical mode decomposition and its algorithms", NSIP 2003):
+cubic-spline envelopes through the local extrema, subtract the envelope
+mean, repeat until the normalized squared change between iterations drops
+below a threshold, then peel the intrinsic mode function off and continue
+on the remainder. Envelope end-swing is suppressed by mirroring a few
+extrema beyond each edge before fitting the splines.
 
-Many short signals, such as the 100 ms buffers of a capture, decompose
-faster together than one by one (emd_decompose_rows). On a 501-sample buffer
-the cost of sifting is per-call overhead, not arithmetic: one envelope mean
-took 121 us with 4 extrema and 229 us with 330 (2-core x86-64 Xeon VM,
-numpy 2.4.6), and a buffer needs about 7.5 of them. So a stack of buffers
-sifts in lockstep. Every row still sifting contributes its two envelopes to
-one block-diagonal spline solve and one vectorized evaluation per iteration,
-and each row leaves the loop under the rules that stop emd_decompose. A
-single row costs more that way (a median 4.3 ms per 100 ms buffer against
-1.7 ms on the same host), so a one-row stack goes through emd_decompose.
+There is one sift loop, over a stack of equal-length rows
+(emd_decompose_rows); emd_decompose is its one-row case. On a 501-sample
+buffer the cost of sifting is per-call overhead, not arithmetic, so the
+100 ms buffers of a capture sift in lockstep: every row still sifting adds
+its two envelopes to one block-diagonal spline solve and one evaluation per
+iteration, and each row stops under its own rules. Only knot placement has
+two forms. One row mirrors its knots with plain slices (_mirror_knots), a
+stack with padded arrays (_knot_rows); on one buffer with about 120
+extrema they took 30 us and 214 us (2-core x86-64 VM, numpy 2.4.6).
 
 Everything here is deterministic: the same samples and config produce
 bit-identical output, and a row decomposed in a stack gets exactly the bits
@@ -71,23 +71,25 @@ class ImfSet:
         return total
 
 
-def find_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of interior maxima and minima; plateaus count once, at their midpoint."""
-    d = x[1:] - x[:-1]
-    nz = (d != 0).nonzero()[0]
-    if nz.size < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    s = d[nz] > 0
-    flips = (s[:-1] != s[1:]).nonzero()[0]
-    locs = (nz[flips] + 1 + nz[flips + 1]) // 2
-    rising_before = s[flips]
-    return locs[rising_before], locs[~rising_before]
+def _extrema_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior maxima and minima of every row of a 2-D stack: (row, index, is_max).
 
-
-def _reflect(x: np.ndarray, src: np.ndarray, sym: float) -> tuple[np.ndarray, np.ndarray]:
-    # reversed so reflected positions come out ascending
-    rev = src[::-1]
-    return 2.0 * sym - rev.astype(np.float64), x[rev]
+    Ordered by row and then by index. A plateau counts once, at its
+    midpoint.
+    """
+    d = x[:, 1:] - x[:, :-1]
+    w = d.shape[1]
+    moving = d != 0
+    nz = moving.ravel().nonzero()[0]  # much faster than 2-D nonzero
+    rising = d[moving] > 0
+    flip = rising[:-1] != rising[1:]
+    if x.shape[0] > 1:  # a row's last change and the next row's first make no extremum
+        row = nz // w
+        flip &= row[:-1] == row[1:]
+    flips = flip.nonzero()[0]
+    row = nz[flips] // w
+    locs = (nz[flips] + 1 + nz[flips + 1]) // 2 - row * w
+    return row, locs, rising[flips]
 
 
 def _mirror_knots(x: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray,
@@ -120,311 +122,211 @@ def _mirror_knots(x: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray,
             lsrc_min = min_idx[:k]
             lsym = 0
 
-    # Right edge, mirror image of the left-edge logic
+    # Right edge, mirror image of the left-edge logic; with fewer than k - 1
+    # extrema the endpoint joins all of them
     if max_idx[-1] > min_idx[-1]:        # signal descends from a final peak
         if x[-1] < x[min_idx[-1]]:
             rsrc_max = max_idx[-k:]
-            rsrc_min = np.concatenate([min_idx[len(min_idx) - (k - 1):], [last]])
+            rsrc_min = np.concatenate([min_idx[max(len(min_idx) - (k - 1), 0):], [last]])
             rsym = last
         else:
             rsrc_max, rsrc_min, rsym = max_idx[-k - 1:-1], min_idx[-k:], max_idx[-1]
     else:                                # signal climbs from a final trough
         if x[-1] > x[max_idx[-1]]:
-            rsrc_max = np.concatenate([max_idx[len(max_idx) - (k - 1):], [last]])
+            rsrc_max = np.concatenate([max_idx[max(len(max_idx) - (k - 1), 0):], [last]])
             rsrc_min = min_idx[-k:]
             rsym = last
         else:
             rsrc_max, rsrc_min, rsym = max_idx[-k:], min_idx[-k - 1:-1], min_idx[-1]
 
-    lt_max, lv_max = _reflect(x, lsrc_max, lsym)
-    lt_min, lv_min = _reflect(x, lsrc_min, lsym)
-    rt_max, rv_max = _reflect(x, rsrc_max, rsym)
-    rt_min, rv_min = _reflect(x, rsrc_min, rsym)
-
-    # each reflection lands strictly outside the extrema it mirrors, so these
-    # knot sets are already strictly increasing
-    t_up = np.concatenate([lt_max, max_idx.astype(np.float64), rt_max])
-    v_up = np.concatenate([lv_max, x[max_idx], rv_max])
-    t_lo = np.concatenate([lt_min, min_idx.astype(np.float64), rt_min])
-    v_lo = np.concatenate([lv_min, x[min_idx], rv_min])
-
-    # Coverage guard: every envelope must have knots on or past both edges
-    t_up, v_up = _ensure_span(x, t_up, v_up, max_idx, k, last)
-    t_lo, v_lo = _ensure_span(x, t_lo, v_lo, min_idx, k, last)
-    return t_up, v_up, t_lo, v_lo
+    return (*_knot_set(x, max_idx, lsrc_max, lsym, rsrc_max, rsym, k),
+            *_knot_set(x, min_idx, lsrc_min, lsym, rsrc_min, rsym, k))
 
 
-def _ensure_span(x: np.ndarray, t: np.ndarray, v: np.ndarray,
-                 idx: np.ndarray, k: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+def _knot_set(x: np.ndarray, idx: np.ndarray, lsrc: np.ndarray, lsym: int,
+              rsrc: np.ndarray, rsym: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One envelope's knots: extrema idx, lsrc mirrored about lsym, rsrc about rsym.
+
+    Each reflection lands strictly outside the extrema it mirrors, so the
+    knots are strictly increasing. Coverage guard: if they miss an edge, k
+    of idx are mirrored about that edge as well; interior extrema
+    (1..n-2) land on or past -1 or n, so the order holds.
+    """
+    last = x.size - 1
+    # sources reversed so reflected positions come out ascending
+    src = np.concatenate([lsrc[::-1], idx, rsrc[::-1]])
+    t = np.concatenate([2 * lsym - lsrc[::-1], idx, 2 * rsym - rsrc[::-1]])
     if t[0] > 0:
-        add_t, add_v = _reflect(x, idx[:k], 0.0)
-        t, v = _dedupe_sorted(np.concatenate([add_t, t]), np.concatenate([add_v, v]))
+        src, t = np.concatenate([idx[k - 1::-1], src]), np.concatenate([-idx[k - 1::-1], t])
     if t[-1] < last:
-        add_t, add_v = _reflect(x, idx[-k:], float(last))
-        t, v = _dedupe_sorted(np.concatenate([t, add_t]), np.concatenate([v, add_v]))
-    return t, v
+        guard = idx[:-k - 1:-1]
+        src, t = np.concatenate([src, guard]), np.concatenate([t, 2 * last - guard])
+    return t.astype(np.float64), x[src]
 
 
-def _dedupe_sorted(t: np.ndarray, v: np.ndarray) -> tuple:
-    if t.size > 1 and ((t[1:] - t[:-1]) <= 0).any():
-        order = np.argsort(t, kind="stable")
-        t, v = t[order], v[order]
-        keep = np.concatenate([[True], (t[1:] - t[:-1]) > 0])
-        return (t[keep], v[keep])
-    return (t, v)
-
-
-def _spline_system(t: np.ndarray, v: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Natural-cubic tridiagonal pieces for one knot set: (h, dv, dl, d, rhs)."""
-    h = t[1:] - t[:-1]
-    dv = (v[1:] - v[:-1]) / h
-    d = 2.0 * (h[:-1] + h[1:])
-    rhs = 6.0 * (dv[1:] - dv[:-1])
-    return h, dv, h[1:-1], d, rhs
-
-
-def _envelope_mean(x: np.ndarray, boundary: int) -> np.ndarray | None:
-    """Mean of the upper and lower cubic-spline envelopes, or None if x has too few extrema.
-
-    Both envelopes are natural cubic splines through the mirrored extrema.
-    Their tridiagonal systems are solved together as one block-diagonal
-    system, and both are evaluated in a single vectorized pass (the lower
-    envelope's knots shifted far right so the combined knot vector stays
-    strictly increasing).
-    """
-    max_idx, min_idx = find_extrema(x)
-    if max_idx.size < 2 or min_idx.size < 2:
-        return None
-    t_up, v_up, t_lo, v_lo = _mirror_knots(x, max_idx, min_idx, boundary)
-    n = x.size
-    k_up = t_up.size
-    k_lo = t_lo.size
-
-    h_up, dv_up, dl_up, d_up, rhs_up = _spline_system(t_up, v_up)
-    h_lo, dv_lo, dl_lo, d_lo, rhs_lo = _spline_system(t_lo, v_lo)
-
-    m_up = k_up - 2
-    m_lo = k_lo - 2
-    m = np.zeros(k_up + k_lo)
-    if m_up + m_lo > 0:
-        if m_up > 0 and m_lo > 0:
-            dl = np.concatenate([dl_up, [0.0], dl_lo])
-            d = np.concatenate([d_up, d_lo])
-            rhs = np.concatenate([rhs_up, rhs_lo])
-        elif m_up > 0:
-            dl, d, rhs = dl_up, d_up, rhs_up
-        else:
-            dl, d, rhs = dl_lo, d_lo, rhs_lo
-        sol = _DGTSV(dl, d, dl.copy(), rhs,
-                     overwrite_dl=True, overwrite_d=True,
-                     overwrite_du=True, overwrite_b=True)[3]
-        m[1:1 + m_up] = sol[:m_up]
-        m[k_up + 1:k_up + 1 + m_lo] = sol[m_up:]
-
-    shift = t_up[-1] - t_lo[0] + 2.0 * n
-    t = np.concatenate([t_up, t_lo + shift])
-    v = np.concatenate([v_up, v_lo])
-    h = np.concatenate([h_up, [shift], h_lo])
-    dv = np.concatenate([dv_up, [0.0], dv_lo])
-
-    q = np.arange(n, dtype=np.float64)
-    q = np.concatenate([q, q + shift])
-    i = t.searchsorted(q, side="right") - 1
-    np.minimum(i, t.size - 2, out=i)  # i >= 0 holds since t[0] <= 0 <= q
-    dt = q - t[i]
-    hi = h[i]
-    mi = m[i]
-    mi1 = m[i + 1]
-    a = (mi1 - mi) / (6.0 * hi)
-    b = 0.5 * mi
-    c = dv[i] - hi * (2.0 * mi + mi1) / 6.0
-    env = v[i] + dt * (c + dt * (b + dt * a))
-    return 0.5 * (env[:n] + env[n:])
-
-
-def _extrema_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """find_extrema on every row of a 2-D stack at once.
-
-    Returns (row, index, is_max) for all extrema, ordered by row and then by
-    index; per row the indices are exactly those find_extrema gives.
-    """
-    d = x[:, 1:] - x[:, :-1]
-    moving = d != 0
-    nz = np.flatnonzero(moving)  # much faster than 2-D nonzero
-    row = nz // d.shape[1]
-    rising = d[moving] > 0
-    flips = ((rising[:-1] != rising[1:]) & (row[:-1] == row[1:])).nonzero()[0]
-    row = row[flips]
-    locs = (nz[flips] + 1 + nz[flips + 1]) // 2 - row * d.shape[1]
-    return row, locs, rising[flips]
-
-
-def _knot_rows(x: np.ndarray, rows: np.ndarray, idx: np.ndarray, first: np.ndarray,
-               count: np.ndarray, width: int, k: int, left: tuple, right: tuple
+def _knot_rows(x: np.ndarray, k: int, rows: np.ndarray, max_idx: np.ndarray,
+               min_idx: np.ndarray, n_max: np.ndarray, n_min: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One envelope's mirrored knot set for each of many rows, padded: (t, v, used).
+    """_mirror_knots for each of many rows at once: (t, v, counts).
 
-    Row r's knots are t[r][used[r]]: up to k reflected past the left edge,
-    the row's extrema idx[first[r]:first[r] + count[r]], up to k reflected
-    past the right edge. left and right are (offset, symmetry point) arrays.
-    The k sources at an edge are consecutive extrema, starting offset places
-    in from that edge; a source one place beyond the extrema is the edge
-    sample itself, and sources past the other end do not exist. That is
-    _mirror_knots' choice of sources, with its slices cut short the same way.
+    max_idx and min_idx hold the extrema of every row of x in row order,
+    n_max and n_min how many each row has. The 2 x rows knot sets come back
+    to back, each row's upper envelope in rows' order and then each row's
+    lower one; counts holds their sizes.
+
+    Each envelope is laid out as padded columns: k span-guard knots left, k
+    reflected left, its extrema, k reflected right, k span-guard knots
+    right. Every run of k sources is consecutive extrema; a source one place
+    before the first or after the last is that edge's sample, and sources
+    past the other end do not exist. That is _mirror_knots' choice of
+    sources, with its slices cut short the same way.
     """
-    end = first + count
-    top = idx.size - 1
+    last = x.shape[1] - 1
+    ms = (np.cumsum(n_max) - n_max)[rows]  # each row's first entry in max_idx
+    ns = (np.cumsum(n_min) - n_min)[rows]
+    n_max, n_min = n_max[rows], n_min[rows]
+    first_max, first_min = max_idx[ms], min_idx[ns]
+    last_max, last_min = max_idx[ms + n_max - 1], min_idx[ns + n_min - 1]
+    # Left edge: the first extremum is the symmetry point when the endpoint
+    # stays inside the envelopes, else the endpoint is. Source offsets:
+    #   peak first, inside: maxima from 1, minima from 0
+    #   peak first, endpoint below: maxima from 0, minima from the endpoint
+    #   trough first, inside: maxima from 0, minima from 1
+    #   trough first, endpoint above: maxima from the endpoint, minima from 0
+    peak = first_max < first_min
+    inside = np.where(peak, x[rows, 0] > x[rows, first_min],
+                      x[rows, 0] < x[rows, first_max])
+    l_sym = np.where(inside, np.where(peak, first_max, first_min), 0)
+    l_max = peak.astype(np.intp) + inside - 1
+    l_min = (~peak).astype(np.intp) + inside - 1
+    # Right edge, the mirror image. Offsets move the last k sources:
+    #   peak last, inside: maxima back 1, minima the last k
+    #   peak last, endpoint below: maxima the last k, minima up to the endpoint
+    #   trough last, inside: maxima the last k, minima back 1
+    #   trough last, endpoint above: maxima up to the endpoint, minima the last k
+    peak = last_max > last_min
+    outside = np.where(peak, x[rows, last] < x[rows, last_min],
+                       x[rows, last] > x[rows, last_max])
+    r_sym = np.where(outside, last, np.where(peak, last_max, last_min))
+    r_max = outside.astype(np.intp) - peak
+    r_min = outside.astype(np.intp) - ~peak
+
+    # one envelope per line from here on: the uppers, then the lowers
+    idx = np.concatenate([max_idx, min_idx])
+    first = np.concatenate([ms, ns + max_idx.size])[:, None]
+    end = first + np.concatenate([n_max, n_min])[:, None]
+    width = int((end - first).max())
     j = np.arange(k)
-    pick = first[:, None] + j + left[0][:, None]
-    l_src = np.where(pick >= first[:, None], idx[np.clip(pick, 0, top)], 0)[:, ::-1]
-    l_used = (pick < end[:, None])[:, ::-1]
-    pick = first[:, None] + np.arange(width)
-    mid = idx[np.clip(pick, 0, top)]
-    mid_used = pick < end[:, None]
-    pick = end[:, None] - k + j + right[0][:, None]
-    r_src = np.where(pick < end[:, None], idx[np.clip(pick, 0, top)],
-                     x.shape[1] - 1)[:, ::-1]
-    r_used = (pick >= first[:, None])[:, ::-1]
-    t = np.concatenate([2.0 * left[1][:, None] - l_src.astype(np.float64), mid,
-                        2.0 * right[1][:, None] - r_src.astype(np.float64)], axis=1)
-    v = x[rows[:, None], np.concatenate([l_src, mid, r_src], axis=1)]
-    return t, v, np.concatenate([l_used, mid_used, r_used], axis=1)
+
+    def from_left(pick):  # a run counted from the first extremum, reversed
+        src = np.where(pick < first, 0, idx.take(pick, mode="clip"))
+        return src[:, ::-1], (pick < end)[:, ::-1]
+
+    def from_right(pick):  # a run counted back from the last extremum, reversed
+        src = np.where(pick < end, idx.take(pick, mode="clip"), last)
+        return src[:, ::-1], (pick >= first)[:, ::-1]
+
+    l_src, l_used = from_left(first + j + np.concatenate([l_max, l_min])[:, None])
+    r_src, r_used = from_right(end - k + j + np.concatenate([r_max, r_min])[:, None])
+    pick = first + np.arange(width)
+    mid, mid_used = idx.take(pick, mode="clip"), pick < end
+    t = np.concatenate([2.0 * np.concatenate([l_sym, l_sym])[:, None] - l_src, mid,
+                        2.0 * np.concatenate([r_sym, r_sym])[:, None] - r_src], axis=1)
+    used = np.concatenate([l_used, mid_used, r_used], axis=1)
+    # span guard: an envelope with no knot on or past an edge gets its own
+    # extrema reflected about that edge
+    gl_src, gl_used = from_left(first + j)
+    gr_src, gr_used = from_right(end - k + j)
+    gl_used &= (np.where(used, t, np.inf).min(axis=1) > 0)[:, None]
+    gr_used &= (np.where(used, t, -np.inf).max(axis=1) < last)[:, None]
+    t = np.concatenate([-gl_src.astype(np.float64), t, 2.0 * last - gr_src], axis=1)
+    used = np.concatenate([gl_used, used, gr_used], axis=1)
+    src = np.concatenate([gl_src, l_src, mid, r_src, gr_src], axis=1)
+    v = x[np.concatenate([rows, rows])[:, None], src]
+    return t[used], v[used], used.sum(axis=1)
 
 
-def _spline_mean_flat(t: np.ndarray, v: np.ndarray, start: np.ndarray, end: np.ndarray,
-                      n: int) -> np.ndarray:
-    """Mean of upper and lower natural cubic splines for many rows at once.
+def _spline_mean_flat(t: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int
+                      ) -> np.ndarray:
+    """Mean of upper and lower natural cubic spline envelopes for many rows at once.
 
     t and v hold 2 x rows knot sets back to back: every row's upper envelope,
-    then every row's lower one. Knot set e is t[start[e]:end[e] + 1], integer
-    positions, strictly increasing, with t[start[e]] <= 0 and
-    t[end[e]] >= n - 1. Each spline is evaluated at 0..n-1 with
-    _envelope_mean's arithmetic, including its interval choice at the last
-    sample: an upper envelope whose last knot sits on it reads that knot's
-    value, a lower one stays on its last interval.
+    then every row's lower one; counts holds their sizes. Each knot set has
+    integer positions, strictly increasing, its first <= 0 and its last
+    >= n - 1. The systems of all sets form one block-diagonal tridiagonal
+    system for one gtsv call; they never pivot and the blocks are uncoupled,
+    so each set's spline has the bits it would have alone. Each spline is
+    evaluated at 0..n-1; at the last sample an upper envelope whose last knot
+    sits on it reads that knot's value, a lower one stays on its last
+    interval.
     """
+    end = counts.cumsum() - 1
     h = t[1:] - t[:-1]
     h[end[:-1]] = 1.0  # steps between knot sets: any positive value, never used
     dv = (v[1:] - v[:-1]) / h
-    interior = np.ones(t.size, dtype=bool)
-    interior[start] = False
-    interior[end] = False
-    inner = interior.nonzero()[0]
-    d = 2.0 * (h[inner - 1] + h[inner])
-    rhs = 6.0 * (dv[inner] - dv[inner - 1])
+    # m, the second derivatives, is zero on each set's first and last knot;
+    # the rows of the other knots form the tridiagonal system
+    inner = np.ones(t.size, dtype=bool)
+    inner[end - counts + 1] = False
+    inner[end] = False
+    rows = inner[1:-1]
+    d = (2.0 * (h[:-1] + h[1:]))[rows]
+    rhs = (6.0 * (dv[1:] - dv[:-1]))[rows]
     # sub/superdiagonal; zero between knot sets, so the blocks stay uncoupled
-    dl = np.where(interior[inner[:-1] + 1], h[inner[:-1]], 0.0)
+    dl = np.where(inner[2:], h[1:], 0.0)[rows][:-1]
     m = np.zeros(t.size)
     m[inner] = _DGTSV(dl, d, dl.copy(), rhs,
                       overwrite_dl=True, overwrite_d=True,
                       overwrite_du=True, overwrite_b=True)[3]
 
     # per-interval cubic coefficients; the intervals bridging knot sets get zeros
-    a = np.zeros(t.size)
-    b = np.zeros(t.size)
-    c = np.zeros(t.size)
-    a[:-1] = (m[1:] - m[:-1]) / (6.0 * h)
-    b[:-1] = 0.5 * m[:-1]
-    c[:-1] = dv - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    a[end] = b[end] = c[end] = 0.0
+    a = (m[1:] - m[:-1]) / (6.0 * h)
+    b = 0.5 * m[:-1]
+    c = dv - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    a[end[:-1]] = b[end[:-1]] = c[end[:-1]] = 0.0
 
-    # Interval of each sample: knot i covers samples t[i] .. t[i+1]-1, the
-    # last knot of a set covers up to n-1; a lower set's last sample moves
-    # back onto its last interval.
-    pos = np.clip(t, 0, n).astype(np.intp)
-    covers = np.empty(t.size, dtype=np.intp)
-    covers[:-1] = pos[1:] - pos[:-1]
-    covers[end] = n - pos[end]
-    half = start.size // 2
-    covers[end[half:] - 1] += covers[end[half:]]
-    covers[end[half:]] = 0
-    i = np.repeat(np.arange(t.size), covers).reshape(start.size, n)
-    dt = np.arange(n, dtype=np.float64) - t[i]
-    env = v[i] + dt * (c[i] + dt * (b[i] + dt * a[i]))
+    # Samples per interval: knot i covers samples t[i] .. t[i+1]-1, the last
+    # knot of an upper set covers up to n-1, and a lower set's last interval
+    # runs to n-1 instead.
+    pos = t.clip(0, n).astype(np.intp)
+    half = end.size // 2
+    pos[end[half:]] = n
+    covers = pos[1:] - pos[:-1]
+    covers[end[:-1]] = n - pos[end[:-1]]
+    dt = (np.arange(n, dtype=np.float64) - t[:-1].repeat(covers).reshape(-1, n)).ravel()
+    env = v[:-1].repeat(covers) + dt * (c.repeat(covers) + dt * (
+        b.repeat(covers) + dt * a.repeat(covers)))
+    env = env.reshape(-1, n)
     return 0.5 * (env[:half] + env[half:])
 
 
 def _envelope_mean_rows(x: np.ndarray, boundary: int) -> tuple[np.ndarray, np.ndarray]:
-    """_envelope_mean of every row of a 2-D stack: (means, has_mean).
+    """Envelope mean of each row of a 2-D stack that has one: (means, has_mean).
 
-    Rows whose mirrored knots do not need _mirror_knots' span guard are
-    solved together: their 2 x rows natural-spline systems form
-    one block-diagonal tridiagonal system for one gtsv call, and all their
-    envelopes are evaluated in one gather. Knot positions are integers, the
-    blocks are uncoupled and the systems never pivot, so every row gets
-    exactly the bits _envelope_mean gives it. The other rows with at least
-    two maxima and minima go through _envelope_mean one by one. Rows with
-    has_mean False hold garbage.
+    A row has a mean if it has at least two maxima and two minima; means
+    holds those rows' means, in order. One row places its mirrored knots
+    with _mirror_knots, a stack with _knot_rows, which is faster for many
+    rows and slower for one; both give the same knots.
     """
     n_rows, n = x.shape
-    last = n - 1
-    mean = np.empty_like(x)
     row, locs, is_max = _extrema_rows(x)
     max_idx, min_idx = locs[is_max], locs[~is_max]
-    n_max = np.bincount(row[is_max], minlength=n_rows)
-    n_min = np.bincount(row[~is_max], minlength=n_rows)
-    has_mean = (n_max >= 2) & (n_min >= 2)
-    single = has_mean.copy()  # rows left for _envelope_mean
-    # with fewer than boundary-1 extrema, _mirror_knots' slice
-    # idx[len(idx) - (boundary-1):] wraps around; leave those rows to it
-    rows = (has_mean & (n_max >= boundary - 1) & (n_min >= boundary - 1)).nonzero()[0]
-    if rows.size:
-        ms = (np.cumsum(n_max) - n_max)[rows]  # each row's first entry in max_idx
-        ns = (np.cumsum(n_min) - n_min)[rows]
-        n_max, n_min = n_max[rows], n_min[rows]
-        first_max, first_min = max_idx[ms], min_idx[ns]
-        last_max, last_min = max_idx[ms + n_max - 1], min_idx[ns + n_min - 1]
-        # Left edge: the first extremum is the symmetry point when the endpoint
-        # stays inside the envelopes, else the endpoint is. Source offsets:
-        #   peak first, inside: maxima from 1, minima from 0
-        #   peak first, endpoint below: maxima from 0, minima from the endpoint
-        #   trough first, inside: maxima from 0, minima from 1
-        #   trough first, endpoint above: maxima from the endpoint, minima from 0
-        peak = first_max < first_min
-        inside = np.where(peak, x[rows, 0] > x[rows, first_min],
-                          x[rows, 0] < x[rows, first_max])
-        l_sym = np.where(inside, np.where(peak, first_max, first_min), 0)
-        l_max = peak.astype(np.intp) + inside - 1
-        l_min = (~peak).astype(np.intp) + inside - 1
-        # Right edge, the mirror image. Offsets move the last k sources:
-        #   peak last, inside: maxima back 1, minima the last k
-        #   peak last, endpoint below: maxima the last k, minima up to the endpoint
-        #   trough last, inside: maxima the last k, minima back 1
-        #   trough last, endpoint above: maxima up to the endpoint, minima the last k
-        peak = last_max > last_min
-        outside = np.where(peak, x[rows, last] < x[rows, last_min],
-                           x[rows, last] > x[rows, last_max])
-        r_sym = np.where(outside, last, np.where(peak, last_max, last_min))
-        r_max = outside.astype(np.intp) - peak
-        r_min = outside.astype(np.intp) - ~peak
-
-        width = int(max(n_max.max(), n_min.max()))
-        up = _knot_rows(x, rows, max_idx, ms, n_max, width, boundary,
-                        (l_max, l_sym), (r_max, r_sym))
-        lo = _knot_rows(x, rows, min_idx, ns, n_min, width, boundary,
-                        (l_min, l_sym), (r_min, r_sym))
-        t = np.concatenate([up[0], lo[0]])
-        used = np.concatenate([up[2], lo[2]])
-        # Reflections land outside the extrema they mirror, so each row's
-        # knots are strictly increasing; rows whose knots miss an edge need
-        # _mirror_knots' span guard and are left to _envelope_mean.
-        bad = ((np.where(used, t, np.inf).min(axis=1) > 0)
-               | (np.where(used, t, -np.inf).max(axis=1) < last))
-        ok = ~(bad[:rows.size] | bad[rows.size:])
-        rows = rows[ok]
-        if rows.size:
-            keep = np.concatenate([ok, ok])
-            used = used[keep]
-            counts = used.sum(axis=1)
-            end = np.cumsum(counts) - 1
-            v = np.concatenate([up[1], lo[1]])
-            mean[rows] = _spline_mean_flat(t[keep][used], v[keep][used],
-                                           end - counts + 1, end, n)
-            single[rows] = False
-    for r in single.nonzero()[0]:
-        mean[r] = _envelope_mean(x[r], boundary)
-    return mean, has_mean
+    if n_rows == 1:
+        has_mean = np.array([max_idx.size >= 2 and min_idx.size >= 2])
+        if not has_mean[0]:
+            return x[:0], has_mean
+        t_up, v_up, t_lo, v_lo = _mirror_knots(x[0], max_idx, min_idx, boundary)
+        t, v = np.concatenate([t_up, t_lo]), np.concatenate([v_up, v_lo])
+        counts = np.array([t_up.size, t_lo.size])
+    else:
+        n_max = np.bincount(row[is_max], minlength=n_rows)
+        n_min = np.bincount(row[~is_max], minlength=n_rows)
+        has_mean = (n_max >= 2) & (n_min >= 2)
+        rows = has_mean.nonzero()[0]
+        if rows.size == 0:
+            return x[:0], has_mean
+        t, v, counts = _knot_rows(x, boundary, rows, max_idx, min_idx, n_max, n_min)
+    return _spline_mean_flat(t, v, counts, n), has_mean
 
 
 def emd_decompose(waveform: Waveform, config: EmdConfig | None = None) -> ImfSet:
@@ -434,41 +336,12 @@ def emd_decompose(waveform: Waveform, config: EmdConfig | None = None) -> ImfSet
     maxima or minima). Each IMF is sifted until the normalized squared
     difference between successive iterates falls below sift_sd_threshold or
     the iteration cap is hit. The components always sum back to the input to
-    within floating-point rounding.
+    within floating-point rounding. This is emd_decompose_rows on one row.
     """
-    cfg = config or EmdConfig()
-    x = waveform.samples
-    if x.size < 8:
-        raise DataError(f"need at least 8 samples to decompose, got {x.size}")
-
     rate = waveform.sample_rate_hz
-    imfs: list[Waveform] = []
-    residual = x.copy()
-
-    for _ in range(cfg.max_imfs):
-        h = residual.copy()
-        mean = _envelope_mean(h, cfg.boundary)
-        if mean is None:
-            break
-        for _ in range(cfg.max_sift_iterations):
-            denom = float(np.dot(h, h))
-            if denom == 0.0:
-                break
-            h_next = h - mean
-            sd = float(np.dot(mean, mean)) / denom
-            h = h_next
-            if sd < cfg.sift_sd_threshold:
-                break
-            mean = _envelope_mean(h, cfg.boundary)
-            if mean is None:
-                break
-        max_idx, min_idx = find_extrema(h)
-        if max_idx.size == 0 and min_idx.size == 0:
-            break  # sifting flattened the remainder; keep it in the residual
-        imfs.append(Waveform(h, rate))
-        residual = residual - h
-
-    return ImfSet(imfs=tuple(imfs), residual=Waveform(residual, rate))
+    imfs, residual = emd_decompose_rows(waveform.samples[None], config)
+    return ImfSet(imfs=tuple(Waveform(stack[0], rate) for _, stack in imfs),
+                  residual=Waveform(residual[0], rate))
 
 
 def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
@@ -477,53 +350,73 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
 
     Returns (imfs, residual). imfs[j] is a pair (rows, stack): the indices
     of the rows that have a (j+1)-th IMF, ascending, and those IMFs. residual
-    is the stack of residuals. Row r's IMFs and residual equal
-    emd_decompose(x[r])'s bit for bit. The rows sift in lockstep, each
-    leaving the loop under emd_decompose's own rules: too few extrema, a
-    zero SD denominator, the SD stop or the iteration cap. A single row goes
-    through emd_decompose.
+    is the stack of residuals. The rows sift in lockstep, and each row
+    leaves the loop under its own stop rules: too few extrema, a zero SD
+    denominator, the SD stop or the iteration cap. So a row's IMFs and
+    residual have the same bits in any stack, alone included.
     """
     cfg = config or EmdConfig()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DataError("emd_decompose_rows expects a 2-D stack of rows")
-    if x.shape[0] == 1:
-        imf_set = emd_decompose(Waveform(x[0]), cfg)
-        first = np.zeros(1, dtype=np.intp)
-        return ([(first, imf.samples[None]) for imf in imf_set.imfs],
-                imf_set.residual.samples[None])
     if x.shape[1] < 8:
         raise DataError(f"need at least 8 samples to decompose, got {x.shape[1]}")
 
     residual = x.copy()
     imfs: list[tuple[np.ndarray, np.ndarray]] = []
-    alive = np.arange(x.shape[0])  # rows still peeling off IMFs
+    # rows still peeling off IMFs, and their remainders; a row that stops
+    # leaves its remainder in residual
+    alive, r = np.arange(x.shape[0]), residual
     for _ in range(cfg.max_imfs):
-        h = residual[alive]
-        mean, has_mean = _envelope_mean_rows(h, cfg.boundary)
-        alive, h, mean = alive[has_mean], h[has_mean], mean[has_mean]
-        sifting = np.arange(alive.size)  # rows of h still sifting
-        for it in range(cfg.max_sift_iterations):
-            hs, ms = h[sifting], mean[sifting]
-            denom = np.vecdot(hs, hs)  # np.dot's bits per row, unlike einsum
-            go = denom != 0.0
-            hs, ms, sifting = hs[go], ms[go], sifting[go]
-            sd = np.vecdot(ms, ms) / denom[go]
-            h[sifting] = hs - ms
-            sifting = sifting[~(sd < cfg.sift_sd_threshold)]
-            if sifting.size == 0 or it == cfg.max_sift_iterations - 1:
-                break  # at the cap emd_decompose's next mean goes unused
-            mean_next, has_mean = _envelope_mean_rows(h[sifting], cfg.boundary)
-            sifting = sifting[has_mean]
-            mean[sifting] = mean_next[has_mean]
-        has_extrema = np.zeros(alive.size, dtype=bool)
-        has_extrema[_extrema_rows(h)[0]] = True
-        alive, h = alive[has_extrema], h[has_extrema]
+        mean, keep = _envelope_mean_rows(r, cfg.boundary)
+        if not keep.all():  # too few extrema
+            residual[alive[~keep]] = r[~keep]
+            alive, r = alive[keep], r[keep]
         if alive.size == 0:
             break
+        h = _sift(r, mean, cfg)
+        keep = np.zeros(alive.size, dtype=bool)
+        keep[_extrema_rows(h)[0]] = True
+        if not keep.all():  # sifting flattened the remainder
+            residual[alive[~keep]] = r[~keep]
+            alive, r, h = alive[keep], r[keep], h[keep]
+            if alive.size == 0:
+                break
         imfs.append((alive, h))
-        residual[alive] = residual[alive] - h
+        r = r - h
+    residual[alive] = r
     return imfs, residual
+
+
+def _sift(x: np.ndarray, mean: np.ndarray, cfg: EmdConfig) -> np.ndarray:
+    """Sift every row of x, whose envelope means are given, to its next IMF.
+
+    The rows sift in lockstep; each stops at a zero SD denominator, the SD
+    stop, the iteration cap or when its iterate has too few extrema.
+    """
+    h = np.empty_like(x)
+    sifting, hs = np.arange(x.shape[0]), x  # rows still sifting and their iterates
+    for it in range(cfg.max_sift_iterations):
+        denom = np.vecdot(hs, hs)  # np.dot's bits per row, unlike einsum
+        if not denom.all():
+            go = denom != 0.0
+            h[sifting[~go]] = hs[~go]
+            sifting, hs, mean, denom = sifting[go], hs[go], mean[go], denom[go]
+        sd = np.vecdot(mean, mean) / denom
+        hs = hs - mean
+        stop = sd < cfg.sift_sd_threshold
+        n_stop = np.count_nonzero(stop)
+        if n_stop == stop.size or it == cfg.max_sift_iterations - 1:
+            break  # at the cap the next mean would go unused
+        if n_stop:
+            h[sifting[stop]] = hs[stop]
+            sifting, hs = sifting[~stop], hs[~stop]
+        mean, go = _envelope_mean_rows(hs, cfg.boundary)
+        if not go.all():
+            h[sifting[~go]] = hs[~go]
+            sifting, hs = sifting[go], hs[go]
+    h[sifting] = hs
+    return h
 
 
 def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0

@@ -166,7 +166,6 @@ class StreamingAnalyzer:
         self._zi = sosfilt_zi(self._sos) * 0.0  # zero initial conditions
         self._tail = np.empty(0, dtype=np.float64)
         self._context = 0  # 1 once any buffer has been consumed
-        self._segments_done = 0
         self._finished = False
 
     def feed(self, samples: np.ndarray) -> tuple[np.ndarray, Waveform]:
@@ -200,7 +199,6 @@ class StreamingAnalyzer:
             out.append(_buffer_intensities(rows, 1, self._buf_segments, *args))
             self._tail = self._tail[n_rows * buf_len:]
         values = np.concatenate([o.ravel() for o in out]) if out else np.empty(0)
-        self._segments_done += values.size
         return values, Waveform(low, self._rate)
 
     def finish(self) -> np.ndarray:
@@ -212,15 +210,9 @@ class StreamingAnalyzer:
         if n_seg < 1:
             return np.empty(0)
         chunk = self._tail[:self._context + n_seg * self._seg_len]
-        values = _buffer_intensities(
+        return _buffer_intensities(
             chunk[None], self._context, n_seg, self._seg_len,
             self._seg_duration_s, self._model, self._cfg)[0]
-        self._segments_done += n_seg
-        return values
-
-    @property
-    def segments_emitted(self) -> int:
-        return self._segments_done
 
 
 def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...]

@@ -29,8 +29,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHdBdH")
 _CHUNK_HEADER = struct.Struct("<4sI")
-_POSE_RECORD = struct.Struct("<Q7f")
-_INTS_RECORD = struct.Struct("<Qf")
 _POSE_DTYPE = np.dtype([("t_us", "<u8"), ("position", "<f4", (3,)),
                         ("orientation", "<f4", (4,))])
 _INTS_DTYPE = np.dtype([("t_us", "<u8"), ("value", "<f4")])
@@ -60,6 +58,15 @@ def _check_t_us(t_us: int, what: str) -> int:
     if not 0 <= t_us < 1 << 64:
         raise DataError(f"{what} timestamp {t_us} outside the u64 microsecond range")
     return t_us
+
+
+def _store_f32(rec: np.ndarray, name: str, values, what: str) -> None:
+    """Store finite values into a float32 record field; DataError if one overflows it."""
+    with np.errstate(over="ignore"):
+        rec[name] = values
+    bad = ~np.isfinite(rec[name])
+    if bad.any():
+        raise DataError(f"{what} is not a finite float32: {np.asarray(values)[bad][0]}")
 
 
 class SessionWriter:
@@ -133,14 +140,19 @@ class SessionWriter:
             self._write_chunk(TAG_VIBRATION, payload)
             self._vib.clear()
         if self._poses:
-            payload = b"".join(
-                _POSE_RECORD.pack(p.t_us, *p.position, *p.orientation)
-                for p in self._poses)
-            self._write_chunk(TAG_POSE, payload)
+            rec = np.empty(len(self._poses), dtype=_POSE_DTYPE)
+            rec["t_us"] = [p.t_us for p in self._poses]
+            _store_f32(rec, "position", [p.position for p in self._poses], "pose position")
+            _store_f32(rec, "orientation", [p.orientation for p in self._poses],
+                       "pose orientation")
+            self._write_chunk(TAG_POSE, rec.tobytes())
             self._poses.clear()
         if self._ints:
-            payload = b"".join(_INTS_RECORD.pack(t, v) for t, v in self._ints)
-            self._write_chunk(TAG_INTENSITY, payload)
+            rec = np.empty(len(self._ints), dtype=_INTS_DTYPE)
+            t_us, values = zip(*self._ints)
+            rec["t_us"] = t_us
+            _store_f32(rec, "value", values, "intensity")
+            self._write_chunk(TAG_INTENSITY, rec.tobytes())
             self._ints.clear()
         if self._meta:
             text = "".join(f"{k}={v}\n" for k, v in self._meta.items())
@@ -150,8 +162,10 @@ class SessionWriter:
 
     def close(self) -> dict:
         """Flush and close; returns per-stream counts and durations."""
-        self.flush()
-        self._fh.close()
+        try:
+            self.flush()
+        finally:
+            self._fh.close()
         summary = {
             "vibration_samples": self._counts["VIBR"],
             "vibration_duration_s": self._counts["VIBR"] / self.sample_rate_hz,
@@ -219,13 +233,13 @@ class Session:
                     vib_parts.append(
                         np.frombuffer(payload, dtype="<f4").reshape(-1, channels))
                 elif tag == TAG_POSE:
-                    if length % _POSE_RECORD.size:
+                    if length % _POSE_DTYPE.itemsize:
                         raise FileFormatError(f"{path}: POSE length not a record multiple")
                     rec = np.frombuffer(payload, dtype=_POSE_DTYPE)
                     poses.extend(poses_from_arrays(rec["t_us"].tolist(), rec["position"],
                                                    rec["orientation"]))
                 elif tag == TAG_INTENSITY:
-                    if length % _INTS_RECORD.size:
+                    if length % _INTS_DTYPE.itemsize:
                         raise FileFormatError(f"{path}: INTS length not a record multiple")
                     rec = np.frombuffer(payload, dtype=_INTS_DTYPE)
                     ints.append(np.stack([rec["t_us"], rec["value"]], axis=1, dtype=np.float64))

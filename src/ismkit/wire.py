@@ -165,10 +165,6 @@ class DecodeResult:
     skipped: int = 0
     error: str | None = None
 
-    @property
-    def needs_more(self) -> bool:
-        return self.message is None and self.error is None
-
 
 def _magic_prefix_keep(buf, off: int) -> int:
     """Length of the longest suffix of buf[off:] that is a proper prefix of MAGIC."""
@@ -191,7 +187,7 @@ def _decode_at(buf: bytes | bytearray, off: int
     idx = buf.find(MAGIC, off)
     if idx == -1:
         consumed = len(buf) - off - _magic_prefix_keep(buf, off)
-        return None, consumed, consumed, ("bad-magic" if consumed else None)
+        return None, consumed, consumed, None
     skipped = idx - off
     avail = len(buf) - idx
     if avail < HEADER_SIZE:

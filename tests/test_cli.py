@@ -392,6 +392,28 @@ class TestStreamLoopback:
         assert isinstance(received[-1], End)
         assert f"sent={len(received)} drops=0" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5])
+    def test_stream_send_of_bad_intensity_sends_nothing(self, tmp_path, capsys, bad):
+        import struct
+        from ismkit.errors import ProtocolError
+        from ismkit.session import record
+        from ismkit.wire import Listener
+        poses = [PoseSample(i * 1000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                 for i in range(20)]
+        src = tmp_path / "bad.isms"
+        record(src, poses=poses, intensities=[(i * 1000 + 500, 0.5) for i in range(20)],
+               channels=1)
+        # the bad value comes last, after every good event
+        with open(src, "ab") as fh:
+            fh.write(b"INTS" + struct.pack("<I", 12) + struct.pack("<Qf", 10 ** 6, bad))
+        listener = Listener("127.0.0.1:0")
+        assert main(["stream-send", str(src), "--endpoint", listener.endpoint]) == 2
+        assert capsys.readouterr().err.startswith("error[data]:")
+        received = []
+        with pytest.raises(ProtocolError, match="no sender connected"):
+            listener.receive(received.append, accept_timeout=0.5)
+        assert received == []
+
     def test_replay_intensity_csv_reads_back_as_profile(self, tmp_path):
         from ismkit.session import record
         ints = [(int((k + 0.5) * 5000), float(np.float32(0.1 * k))) for k in range(30)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ismkit.emd import EmdConfig, _component_arrays, emd_decompose, find_extrema
+from ismkit.emd import EmdConfig, _component_arrays, _extrema_rows, emd_decompose
 from ismkit.errors import DataError
 from ismkit.signal import SegmentGrid, Waveform, segment
 
@@ -15,6 +15,12 @@ FS = 5000.0
 def _tone(freq, duration=1.0, amp=1.0, phase=0.0):
     t = np.arange(int(duration * FS)) / FS
     return amp * np.sin(2 * np.pi * freq * t + phase)
+
+
+def find_extrema(x):
+    """(maxima, minima) of one signal, from the stacked extrema scan."""
+    _, locs, is_max = _extrema_rows(np.asarray(x, dtype=np.float64)[None])
+    return locs[is_max], locs[~is_max]
 
 
 class TestFindExtrema:

@@ -1,13 +1,18 @@
-"""Lockstep decomposition of buffer stacks against the one-buffer path, bit for bit."""
+"""Decomposition of single rows and of stacks against the frozen per-buffer sift, bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from benchmarks.inputs import make_capture
 from ismkit import emd, ism
 from ismkit.emd import EmdConfig, emd_decompose, emd_decompose_rows, _component_arrays
 from ismkit.errors import DataError
 from ismkit.scenario import Impact, SyntheticScenario, Waypoint, simulate
 from ismkit.signal import SegmentGrid, Waveform
+
+from . import reference_sift
+from .reference_sift import envelope_mean, find_extrema, mirror_knots, reference_decompose
 
 FS = 5000.0
 BUF = 500  # 100 ms at FS
@@ -45,6 +50,14 @@ def _buffer_rows(x: np.ndarray) -> np.ndarray:
     return np.stack([x[k * BUF:(k + 1) * BUF + 1] for k in range(n)])
 
 
+def _ramp_row() -> np.ndarray:
+    """Three maxima and minima, then a ramp past the last maximum: the right
+    edge mirrors the endpoint and all three maxima at boundary 4 and above."""
+    n = np.arange(BUF + 1)
+    x = np.sin(2 * np.pi * n / 160.0 + 0.5)
+    return np.where(n > 440, x[440] + 0.05 * (n - 440), x)
+
+
 def _hand_built_rows() -> np.ndarray:
     n = np.arange(BUF + 1)
     rng = np.random.default_rng(7)
@@ -62,20 +75,36 @@ def _hand_built_rows() -> np.ndarray:
         np.linspace(-1.0, 1.0, BUF + 1),                     # monotone
         late,                                                # needs the span guard
         late[::-1].copy(),
+        _ramp_row(),                                         # few knots past the right edge
+        _ramp_row()[::-1].copy(),
         rng.standard_normal(BUF + 1),
         sine + 0.3 * rng.standard_normal(BUF + 1),
     ])
 
 
+def _reference(x: np.ndarray, cfg: EmdConfig):
+    return reference_decompose(x, cfg.max_imfs, cfg.sift_sd_threshold,
+                               cfg.max_sift_iterations, cfg.boundary)
+
+
 def _assert_rows_match(x: np.ndarray, cfg: EmdConfig) -> None:
+    """Every row, decomposed in the stack x and alone, equals the reference."""
     imfs, residual = emd_decompose_rows(x, cfg)
     for r in range(x.shape[0]):
-        ref = emd_decompose(Waveform(x[r], FS), cfg)
-        mine = [stack[rows == r][0] for rows, stack in imfs if np.any(rows == r)]
-        assert len(mine) == len(ref.imfs), f"row {r}"
-        for j, (a, b) in enumerate(zip(mine, ref.imfs)):
-            assert np.array_equal(a, b.samples), f"row {r}, IMF {j}"
-        assert np.array_equal(residual[r], ref.residual.samples), f"row {r} residual"
+        ref_imfs, ref_residual = _reference(x[r], cfg)
+        alone = emd_decompose(Waveform(x[r], FS), cfg)
+        stacked = [stack[rows == r][0] for rows, stack in imfs if np.any(rows == r)]
+        assert len(stacked) == len(alone.imfs) == len(ref_imfs), f"row {r}"
+        for j, ref in enumerate(ref_imfs):
+            assert np.array_equal(stacked[j], ref), f"row {r}, IMF {j} in the stack"
+            assert np.array_equal(alone.imfs[j].samples, ref), f"row {r}, IMF {j} alone"
+        assert np.array_equal(residual[r], ref_residual), f"row {r} residual in the stack"
+        assert np.array_equal(alone.residual.samples, ref_residual), f"row {r} residual alone"
+
+
+def _capture_buffers(seed: int, duration_s: float) -> np.ndarray:
+    vibration = make_capture(seed, duration_s).vibration
+    return np.concatenate([_buffer_rows(vibration[:, c]) for c in range(4)])
 
 
 class TestDecomposeRows:
@@ -85,39 +114,68 @@ class TestDecomposeRows:
         rows = np.concatenate([_buffer_rows(x[:, c]) for c in range(4)])
         _assert_rows_match(rows, cfg)
 
+    def test_benchmark_capture_buffers_match(self):
+        rows = _capture_buffers(seed=35, duration_s=10.0)
+        for b in range(0, rows.shape[0], ism.BLOCK_ROWS):
+            _assert_rows_match(rows[b:b + ism.BLOCK_ROWS], EmdConfig())
+
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_hand_built_rows_match_one_by_one(self, cfg):
         _assert_rows_match(_hand_built_rows(), cfg)
 
-    def test_irregular_knots_take_the_one_row_envelope(self, monkeypatch):
-        calls = []
-        one_row = emd._envelope_mean
+    def test_span_guard_rows_match_reference(self, monkeypatch):
+        late = _hand_built_rows()[11:13]
+        with monkeypatch.context() as patched:
+            patched.setattr(reference_sift, "_ensure_span", lambda x, t, v, idx, k, last: (t, v))
+            for row in late:  # without the guard, some envelope misses an edge
+                t_up, _, t_lo, _ = mirror_knots(row, *find_extrema(row), 2)
+                assert min(t_up[0], t_lo[0]) > 0 or max(t_up[-1], t_lo[-1]) < BUF
+        for boundary in (1, 2, 3):
+            _assert_rows_match(late, EmdConfig(boundary=boundary))
 
-        def counting(x, boundary):
-            calls.append(x.size)
-            return one_row(x, boundary)
-
-        monkeypatch.setattr(emd, "_envelope_mean", counting)
-        rows = _hand_built_rows()
-        late = rows[11:13]
-        emd_decompose_rows(late)
-        assert calls  # the late-starting rows need the span guard
-        monkeypatch.undo()
-        _assert_rows_match(late, EmdConfig())
+    @pytest.mark.parametrize("boundary", [4, 5, 6])
+    def test_short_edge_runs_do_not_wrap(self, boundary):
+        # The endpoint and every maximum are mirrored past the right edge,
+        # however many more the boundary asks for.
+        x = _ramp_row()
+        t_up, _, _, _ = emd._mirror_knots(x, *find_extrema(x), boundary)
+        assert np.count_nonzero(t_up > BUF) == 3
+        rows = np.stack([x, x[::-1].copy()])
+        _assert_rows_match(rows, EmdConfig(boundary=boundary))
 
     def test_sd_stop_matches_np_dot(self):
-        # A threshold equal to a row's first SD, as emd_decompose computes it
+        # A threshold equal to a row's first SD, as the reference computes it
         # with np.dot, does not stop that row. A sum that rounds differently
         # lands on either side of it and flips the decision.
         rows = np.random.default_rng(5).standard_normal((8, BUF + 1))
         for r in rows:
-            mean = emd._envelope_mean(r, 2)
+            mean = envelope_mean(r, 2)
             sd = float(np.dot(mean, mean)) / float(np.dot(r, r))
             _assert_rows_match(rows, EmdConfig(sift_sd_threshold=sd))
 
     def test_single_row_is_emd_decompose(self):
         x = _capture(1.0, seed=32)[:BUF + 1, :1].T
         _assert_rows_match(x, EmdConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 700), seed=st.integers(0, 2**32 - 1),
+           boundary=st.integers(1, 6), max_imfs=st.integers(1, 8),
+           max_sift=st.integers(1, 50), sd=st.floats(1e-6, 1.0))
+    def test_fuzzed_rows_match(self, n, seed, boundary, max_imfs, max_sift, sd):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        rows = np.stack([
+            rng.standard_normal(n),
+            np.sin(2 * np.pi * t / rng.uniform(4.0, 200.0)) + 0.2 * rng.standard_normal(n),
+            np.round(3.0 * np.sin(2 * np.pi * t / rng.uniform(6.0, 90.0))),  # plateaus
+            np.where(t < rng.integers(0, n), 0.0, rng.standard_normal(n)),   # silent start
+        ])
+        _assert_rows_match(rows, EmdConfig(max_imfs=max_imfs, sift_sd_threshold=sd,
+                                           max_sift_iterations=max_sift, boundary=boundary))
+
+    def test_empty_stack(self):
+        imfs, residual = emd_decompose_rows(np.zeros((0, BUF + 1)))
+        assert imfs == [] and residual.shape == (0, BUF + 1)
 
     def test_rejects_non_stack(self):
         with pytest.raises(DataError):

@@ -7,12 +7,14 @@ import pytest
 
 from ismkit import ism
 from ismkit.errors import DataError, FileFormatError
-from ismkit.session import (_CHUNK_HEADER, _INTS_RECORD, _POSE_RECORD, TAG_INTENSITY,
-                            TAG_POSE, ReplayClock, Session, SessionWriter, record, replay,
-                            replay_events)
+from ismkit.session import (_CHUNK_HEADER, TAG_INTENSITY, TAG_POSE, ReplayClock, Session,
+                            SessionWriter, record, replay, replay_events)
 from ismkit.trajectory import PoseSample, load_pose_csv, save_pose_csv
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+# the record layouts of the format: u64 t_us + 3 + 4 f32, and u64 t_us + f32
+_POSE_RECORD = struct.Struct("<Q7f")
+_INTS_RECORD = struct.Struct("<Qf")
 
 
 def _f32(values):
@@ -117,6 +119,54 @@ class TestValidation:
         session = Session.open(path)
         assert session.poses[0].t_us == 2 ** 64 - 1
         assert session.intensities[0, 0] == float(2 ** 64 - 1)
+
+
+    def test_records_have_the_documented_layout(self, tmp_path):
+        path = tmp_path / "layout.isms"
+        _, poses, ints = _sample_session(path, n_poses=3, n_ints=4)
+        chunks = _chunks(path.read_bytes())
+        assert chunks[TAG_POSE] == b"".join(
+            _POSE_RECORD.pack(p.t_us, *p.position, *p.orientation) for p in poses)
+        assert chunks[TAG_INTENSITY] == b"".join(_INTS_RECORD.pack(t, v) for t, v in ints)
+
+    @pytest.mark.parametrize("position, intensity, message", [
+        ((0.0, 1e39, 0.0), 0.5, "pose position is not a finite float32: 1e+39"),
+        ((0.0, 0.0, -3.5e38), 0.5, "pose position is not a finite float32: -3.5e+38"),
+        ((0.0, 0.0, 0.0), 1e300, "intensity is not a finite float32: 1e+300"),
+    ])
+    def test_beyond_float32_is_data_error_at_close(self, tmp_path, position, intensity,
+                                                   message):
+        path = tmp_path / "big.isms"
+        writer = SessionWriter(path, channels=1)
+        writer.append_pose(PoseSample(0, np.zeros(3), IDENTITY_Q))
+        writer.append_pose(PoseSample(1, np.array(position), IDENTITY_Q))
+        writer.append_intensity(0, intensity)
+        with pytest.raises(DataError) as raised:
+            writer.close()
+        assert type(raised.value) is DataError
+        assert str(raised.value) == message
+        assert writer._fh.closed
+
+    def test_largest_float32_stored(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        path = tmp_path / "f32max.isms"
+        record(path, poses=[PoseSample(0, np.array([big, -big, 0.0]), IDENTITY_Q)],
+               intensities=[(0, big)], channels=1)
+        session = Session.open(path)
+        assert session.poses[0].position.tolist() == [big, -big, 0.0]
+        assert session.intensities.tolist() == [[0.0, big]]
+
+
+def _chunks(data: bytes) -> dict:
+    """Payload of each chunk tag in a session file's bytes (the last of a tag wins)."""
+    off = 4 + struct.calcsize("<HdBdH") + struct.unpack_from("<H", data, 4 + 2 + 8 + 1 + 8)[0]
+    out = {}
+    while off < len(data):
+        tag, length = _CHUNK_HEADER.unpack_from(data, off)
+        off += _CHUNK_HEADER.size
+        out[tag] = data[off:off + length]
+        off += length
+    return out
 
 
 def _append_pose_chunk(path, records):

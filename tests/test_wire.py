@@ -99,7 +99,7 @@ class TestDecode:
         frame = Frame(7, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (1, 2, 3))
         data = encode(frame)[:50]
         result = decode(data)
-        assert result.needs_more
+        assert result.message is None and result.error is None
         assert result.consumed == 0
 
     def test_garbage_prefix_resync(self):
@@ -232,9 +232,36 @@ class TestDecoderOffsets:
             got.extend(chunked.feed(blob[pos:pos + n]))
             pos += n
         assert got == expected
-        # garbage that fills a whole chunk is an error there, a skip here
         assert chunked.resync_bytes == whole.resync_bytes
+        assert chunked.errors == whole.errors
         assert chunked.pending() == whole.pending()
+
+    def test_error_tally_does_not_depend_on_chunking(self):
+        rng = np.random.default_rng(11)
+        hello = bytearray(encode(Hello(4, 5000, 50)))
+        hello[9] = 9  # unsupported version
+        poisoned = encode(IntensityOnly(1, 0.5))[:-4] + struct.pack("<f", float("nan"))
+        specials = [bytes(hello), poisoned, b"ISMP" + bytes([77]) + (3).to_bytes(4, "little")
+                    + b"abc", b"ISMP" + bytes([2]) + (7).to_bytes(4, "little"), b"ISM", b"IS"]
+        parts = []
+        for i in range(600):
+            garbage = 5000 if i % 50 == 0 else int(rng.integers(0, 30))  # some fill chunks
+            parts.append(rng.integers(0, 256, size=garbage, dtype=np.uint8).tobytes())
+            parts.append(specials[i // 3 % len(specials)] if i % 3 == 0
+                         else encode(Frame(i, (0.5, 0.0, 0.0), (1, 0, 0, 0), 0.25, (1, 2, 3))))
+        blob = b"".join(parts)
+        whole = Decoder()
+        expected = whole.feed(blob)
+        assert set(whole.errors) >= {"version-mismatch:9", "unknown-type:77",
+                                     "length-mismatch",
+                                     "bad-field:intensity is not a finite float32: nan"}
+        for size in (1, 7, 64, 4096):
+            chunked = Decoder()
+            got = []
+            for start in range(0, len(blob), size):
+                got.extend(chunked.feed(blob[start:start + size]))
+            assert got == expected, size
+            assert chunked.errors == whole.errors, size
 
     def test_decoded_fields_have_plain_types(self):
         (frame, ints) = Decoder().feed(encode(Frame(3, (1.5, 2, 3), (1, 0, 0, 0), 0.5, (4, 5, 6)))
