@@ -15,10 +15,16 @@ is present. Desync recovery scans forward to the next magic. `Decoder.feed`
 parses its pending buffer by offset and compacts it once per feed, so a feed
 costs time linear in its bytes however many messages it holds. A decoded
 float is already float32, and an integer already in its field's range, so
-a decoded message is only checked for finite values. The sender runs
-a bounded queue with drop-oldest backpressure: when a live consumer lags,
-stale frames are discarded (and counted) rather than delaying fresh ones;
-control messages (Hello/End) are never dropped.
+a decoded message is only checked for finite values. A constructed
+`Frame` or `IntensityOnly` is checked by packing its fields once; only when
+that fails are the fields checked one by one, to name the bad one.
+
+The sender runs a bounded queue with drop-oldest backpressure: when a live
+consumer lags, stale frames are discarded (and counted) rather than delaying
+fresh ones; control messages (Hello/End) are never dropped. Its writer thread
+takes everything queued at once and writes it with one `sendall`, so at most
+one queue's worth is in flight beyond the kernel's socket buffer, out of
+reach of drop-oldest; `sent` counts the messages of written batches.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ _HELLO = struct.Struct("<BBIH")
 _FRAME = struct.Struct("<Q8f5B")
 _INTENSITY = struct.Struct("<Qf")
 _F32 = struct.Struct("<f")
+# header and payload of one message in one pack
+_HELLO_MSG = struct.Struct(_HEADER.format + _HELLO.format[1:])
+_FRAME_MSG = struct.Struct(_HEADER.format + _FRAME.format[1:])
+_INTENSITY_MSG = struct.Struct(_HEADER.format + _INTENSITY.format[1:])
+_END_MSG = _HEADER.pack(MAGIC, TYPE_END, 0)
 
 PAYLOAD_SIZES = {
     TYPE_HELLO: _HELLO.size,
@@ -98,6 +109,18 @@ class Frame:
     rgb: tuple[int, int, int]
 
     def __post_init__(self):
+        # one pack rounds every float to float32 and range-checks t_us and rgb;
+        # float32 values cannot overflow a float64 sum: it is finite iff all are
+        try:
+            if len(self.position) == 3 and len(self.quaternion) == 4 and len(self.rgb) == 3:
+                f = _FRAME.unpack(_FRAME.pack(self.t_us, *self.position, *self.quaternion,
+                                              self.intensity, *self.rgb, 0, 0))
+                if math.isfinite(sum(f[1:9])):
+                    self.__dict__.update(t_us=f[0], position=f[1:4], quaternion=f[4:8],
+                                         intensity=f[8], rgb=f[9:12])
+                    return
+        except (struct.error, OverflowError, TypeError):
+            pass  # the checks below name the field at fault
         object.__setattr__(self, "t_us", _u(self.t_us, 64, "t_us"))
         pos = tuple(_f32(v, "position") for v in self.position)
         quat = tuple(_f32(v, "quaternion") for v in self.quaternion)
@@ -118,6 +141,13 @@ class IntensityOnly:
     intensity: float
 
     def __post_init__(self):
+        try:
+            t_us, intensity = _INTENSITY.unpack(_INTENSITY.pack(self.t_us, self.intensity))
+            if math.isfinite(intensity):
+                self.__dict__.update(t_us=t_us, intensity=intensity)
+                return
+        except (struct.error, OverflowError, TypeError):
+            pass  # the checks below name the field at fault
         object.__setattr__(self, "t_us", _u(self.t_us, 64, "t_us"))
         object.__setattr__(self, "intensity", _f32(self.intensity, "intensity"))
 
@@ -132,23 +162,20 @@ WireMessage = Hello | Frame | IntensityOnly | End
 
 def encode(message: WireMessage) -> bytes:
     """Serialize a message: header then fixed-layout payload."""
+    if isinstance(message, Frame):
+        return _FRAME_MSG.pack(MAGIC, TYPE_FRAME, _FRAME.size, message.t_us,
+                               *message.position, *message.quaternion, message.intensity,
+                               *message.rgb, 0, 0)
+    if isinstance(message, IntensityOnly):
+        return _INTENSITY_MSG.pack(MAGIC, TYPE_INTENSITY, _INTENSITY.size,
+                                   message.t_us, message.intensity)
     if isinstance(message, Hello):
-        payload = _HELLO.pack(message.version, message.channels,
-                              message.sample_rate_hz, message.segment_ms_x10)
-        msg_type = TYPE_HELLO
-    elif isinstance(message, Frame):
-        payload = _FRAME.pack(message.t_us, *message.position, *message.quaternion,
-                              message.intensity, *message.rgb, 0, 0)
-        msg_type = TYPE_FRAME
-    elif isinstance(message, IntensityOnly):
-        payload = _INTENSITY.pack(message.t_us, message.intensity)
-        msg_type = TYPE_INTENSITY
-    elif isinstance(message, End):
-        payload = b""
-        msg_type = TYPE_END
-    else:
-        raise DataError(f"not a wire message: {message!r}")
-    return _HEADER.pack(MAGIC, msg_type, len(payload)) + payload
+        return _HELLO_MSG.pack(MAGIC, TYPE_HELLO, _HELLO.size, message.version,
+                               message.channels, message.sample_rate_hz,
+                               message.segment_ms_x10)
+    if isinstance(message, End):
+        return _END_MSG
+    raise DataError(f"not a wire message: {message!r}")
 
 
 @dataclass(frozen=True)
@@ -196,11 +223,11 @@ def _decode_at(buf: bytes | bytearray, off: int
 
     expected = PAYLOAD_SIZES.get(msg_type)
     if expected is None:
-        if payload_len <= MAX_SKIP_PAYLOAD and avail >= HEADER_SIZE + payload_len:
-            consumed = skipped + HEADER_SIZE + payload_len
-        else:
-            consumed = skipped + HEADER_SIZE
-        return None, consumed, skipped, f"unknown-type:{msg_type}"
+        if payload_len > MAX_SKIP_PAYLOAD:
+            return None, skipped + HEADER_SIZE, skipped, f"unknown-type:{msg_type}"
+        if avail < HEADER_SIZE + payload_len:  # wait for the payload it skips
+            return None, skipped, skipped, None
+        return None, skipped + HEADER_SIZE + payload_len, skipped, f"unknown-type:{msg_type}"
     if payload_len != expected:
         return None, skipped + len(MAGIC), skipped, "length-mismatch"
     if avail < HEADER_SIZE + expected:
@@ -238,9 +265,10 @@ def decode(data: bytes | bytearray | memoryview) -> DecodeResult:
 
     Garbage before a magic is skipped (counted in `skipped` and `consumed`).
     Header-level problems return an error result that still advances the
-    stream: unknown types skip their declared payload when it is present and
-    sane (<= 64 KiB), otherwise just the header; a length mismatch on a known
-    type abandons the header as a desync and advances past the magic.
+    stream: unknown types skip their declared payload when it is sane
+    (<= 64 KiB; need more bytes until all of it is there), otherwise just the
+    header; a length mismatch on a known type abandons the header as a desync
+    and advances past the magic.
     """
     message, consumed, skipped, error = _decode_at(bytes(data), 0)
     return DecodeResult(message, consumed, skipped=skipped, error=error)
@@ -304,7 +332,8 @@ class FrameSender:
     Messages pile into a bounded FIFO drained by a writer thread; when the
     queue is full the oldest droppable message makes way (drop-oldest), so a
     stalled visualization consumer sees the newest state when it recovers.
-    Hello and End are never dropped. Construct without an endpoint to queue
+    Hello and End are never dropped. The writer takes the whole queue at once
+    and writes it with one `sendall`. Construct without an endpoint to queue
     offline, then call connect().
     """
 
@@ -366,20 +395,19 @@ class FrameSender:
                     self._wake.wait()
                 if not self._queue:
                     return
-                message = self._queue.popleft()
-                if _droppable(message):
-                    self._n_droppable -= 1
+                batch, self._queue = self._queue, deque()
+                self._n_droppable = 0
                 self._wake.notify_all()
-            payload = encode(message)
+            data = b"".join(map(encode, batch))
             try:
-                self._sock.sendall(payload)
-                self.sent += 1
+                self._sock.sendall(data)
             except OSError as exc:
                 with self._lock:
                     self.error = str(exc)
                     self._queue.clear()
                     self._wake.notify_all()
                 return
+            self.sent += len(batch)
 
     def close(self, send_end: bool = True, timeout: float = 10.0) -> SenderReport:
         """Flush the queue (optionally appending End), stop the writer, report."""
@@ -430,14 +458,14 @@ class Listener:
         peer disconnects.
         """
         self._server.settimeout(accept_timeout)
-        try:
-            conn, _ = self._server.accept()
-        except socket.timeout:
-            raise ProtocolError("no sender connected before timeout") from None
         stats = ReceiverStats()
         decoder = Decoder()
         hello_seen = False
         try:
+            try:
+                conn, _ = self._server.accept()
+            except socket.timeout:
+                raise ProtocolError("no sender connected before timeout") from None
             with conn:
                 while True:
                     data = conn.recv(65536)

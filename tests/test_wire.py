@@ -1,5 +1,7 @@
 import gc
+import socket
 import struct
+import sys
 import threading
 import time
 
@@ -9,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from ismkit.errors import DataError, IsmkitError, ProtocolError
 from ismkit.wire import (Decoder, End, Frame, FrameSender, Hello, IntensityOnly,
-                         Listener, decode, encode, parse_endpoint)
+                         Listener, SenderReport, decode, encode, parse_endpoint)
+
+from .reference_wire import reference_frame_fields, reference_intensity_fields
 
 f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 u8 = st.integers(0, 255)
@@ -22,6 +26,45 @@ frames = st.builds(Frame, t_us=st.integers(0, 2 ** 64 - 1),
                    intensity=f32, rgb=st.tuples(u8, u8, u8))
 intensities = st.builds(IntensityOnly, t_us=st.integers(0, 2 ** 64 - 1), intensity=f32)
 messages = st.one_of(hellos, frames, intensities, st.just(End()))
+# field values the per-field checks accept, reject or convert
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+floats_any = st.one_of(
+    f32, st.floats(), st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e39, -1e39, 3.5e38,
+                     FLOAT32_MAX, -FLOAT32_MAX, np.nextafter(FLOAT32_MAX, np.inf),
+                     10 ** 400, -10 ** 400, True, False, -0.0, 5e-46]))
+t_us_valid = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1).map(np.uint64),
+                       st.integers(0, 2 ** 63 - 1).map(np.int64), st.floats(0, 1e19))
+t_us_invalid = st.one_of(st.integers(-2 ** 64, -1), st.integers(2 ** 64, 2 ** 70),
+                         st.integers(-2 ** 63, -1).map(np.int64), st.floats(),
+                         st.sampled_from([10 ** 400, True, False, 2 ** 64 - 1, 2 ** 64]))
+# one_of would weigh each alternative alike: keep most t_us in range
+t_us_any = st.integers(0, 4).flatmap(lambda k: t_us_invalid if k == 0 else t_us_valid)
+rgb_any = st.one_of(
+    st.tuples(u8, u8, u8),
+    st.lists(st.one_of(st.integers(-300, 600), u8.map(np.uint8), st.integers(-5, 300).map(np.int64),
+                       st.just(True), st.floats(-1, 300), st.just(10 ** 400)),
+             min_size=2, max_size=4).map(tuple))
+
+
+def vectors(n):
+    """n-vectors of any floats, some one element short or long, as tuple, list or array."""
+    return st.one_of(
+        st.tuples(*[f32] * n), st.tuples(*[floats_any] * n),
+        st.lists(st.floats(width=32), min_size=n, max_size=n).map(np.array),
+        st.one_of(st.lists(floats_any, min_size=n - 1, max_size=n + 1).map(list),
+                  st.lists(st.floats(), min_size=n - 1, max_size=n + 1).map(np.array)))
+
+
+def _outcome(build):
+    """What build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 # one feed of 8x the Frames: linear time reads about 8x, quadratic 64x; the
 # bound sits between them, on the geometric midpoint, ~3x from either side
 LINEAR_FEED_BOUND = 22.0
@@ -79,6 +122,27 @@ class TestEncodeLayout:
         assert all(type(v) is float for v in (*frame.position, *frame.quaternion,
                                                frame.intensity))
         assert all(type(v) is int for v in (frame.t_us, *frame.rgb))
+
+    def test_iterable_fields_accepted(self):
+        frame = Frame(1, (v for v in (1, 2, 3)), iter([1, 0, 0, 0]), 0.5, range(3))
+        assert frame == Frame(1, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (0, 1, 2))
+
+    @settings(max_examples=600, deadline=None)
+    @given(t_us=t_us_any, position=vectors(3), quaternion=vectors(4), intensity=floats_any,
+           rgb=rgb_any)
+    def test_frame_matches_per_field_checks(self, t_us, position, quaternion, intensity, rgb):
+        got = _outcome(lambda: vars(Frame(t_us, position, quaternion, intensity, rgb)))
+        want = _outcome(lambda: reference_frame_fields(t_us, position, quaternion,
+                                                       intensity, rgb))
+        # repr tells -0.0 from 0.0 and a numpy scalar from a plain number
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_us=t_us_any, intensity=floats_any)
+    def test_intensity_only_matches_per_field_checks(self, t_us, intensity):
+        got = _outcome(lambda: vars(IntensityOnly(t_us, intensity)))
+        want = _outcome(lambda: reference_intensity_fields(t_us, intensity))
+        assert repr(got) == repr(want)
 
     def test_pad_bytes_zero(self):
         frame = Frame(1, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (9, 8, 7))
@@ -262,6 +326,7 @@ class TestDecoderOffsets:
                 got.extend(chunked.feed(blob[start:start + size]))
             assert got == expected, size
             assert chunked.errors == whole.errors, size
+            assert chunked.resync_bytes == whole.resync_bytes, size
 
     def test_decoded_fields_have_plain_types(self):
         (frame, ints) = Decoder().feed(encode(Frame(3, (1.5, 2, 3), (1, 0, 0, 0), 0.5, (4, 5, 6)))
@@ -419,3 +484,86 @@ class TestLoopback:
         assert not errors
         assert [type(m).__name__ for m in received] == ["Hello", "End"]
         assert stats_box[0].resync_bytes > 0
+
+    def test_accept_timeout_closes_listening_socket(self):
+        listener = Listener("127.0.0.1:0")
+        with pytest.raises(ProtocolError, match="no sender connected"):
+            listener.receive(lambda message: None, accept_timeout=0.1)
+        assert listener._server.fileno() == -1
+
+
+def _frame_of(t_us: int) -> Frame:
+    return Frame(t_us, (0.0, 0.0, t_us * 1e-6), (1.0, 0.0, 0.0, 0.0), 0.5, (1, 2, 3))
+
+
+class TestSenderQueue:
+    def test_producers_share_blocking_queue_losslessly(self):
+        """Four producers fill an 8-slot blocking queue while the writer drains it."""
+        n_producers, per_producer = 4, 2000
+        listener = Listener("127.0.0.1:0")
+        received, errors = [], []
+        receiver = threading.Thread(target=_collect_receiver,
+                                    args=(listener, received, errors), daemon=True)
+        receiver.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sender = FrameSender(listener.endpoint, queue_capacity=8, policy="block")
+            sender.send(Hello(4, 5000, 50))
+
+            def produce(p):
+                for i in range(per_producer):
+                    sender.send(_frame_of(p * 10 ** 6 + i))
+
+            producers = [threading.Thread(target=produce, args=(p,), daemon=True)
+                         for p in range(n_producers)]
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            report = sender.close()
+        finally:
+            sys.setswitchinterval(interval)
+        receiver.join(30.0)
+        assert not receiver.is_alive()
+        assert not errors
+        assert report == SenderReport(sent=n_producers * per_producer + 2, drops=0)
+        assert isinstance(received[0], Hello) and isinstance(received[-1], End)
+        t_us = [m.t_us for m in received[1:-1]]
+        assert sorted(t_us) == [p * 10 ** 6 + i for p in range(n_producers)
+                                for i in range(per_producer)]
+        for p in range(n_producers):
+            mine = [t for t in t_us if t // 10 ** 6 == p]
+            assert mine == sorted(mine), p
+
+    def test_queued_messages_go_in_one_sendall(self, monkeypatch):
+        queued = [Hello(4, 5000, 50)] + [_frame_of(i) for i in range(300)]
+        sender = FrameSender(queue_capacity=300)
+        for message in queued:
+            sender.send(message)
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        listener = Listener("127.0.0.1:0")
+        received, errors = [], []
+        receiver = threading.Thread(target=_collect_receiver,
+                                    args=(listener, received, errors), daemon=True)
+        receiver.start()
+        sender.connect(listener.endpoint)
+        deadline = time.monotonic() + 30.0
+        while sender.sent < len(queued) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        before_close = list(writes)
+        report = sender.close()
+        receiver.join(30.0)
+        assert not receiver.is_alive()
+        assert not errors
+        assert before_close == [b"".join(map(encode, queued))]
+        assert report == SenderReport(sent=302, drops=0)
+        assert received == queued + [End()]
