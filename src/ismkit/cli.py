@@ -247,8 +247,8 @@ def _message(t_us: int, pose: PoseSample | None, intensity: float,
     """The wire message for one replay event: a colored Frame for a pose."""
     if pose is None:
         return wire.IntensityOnly(t_us, intensity)
-    return wire.Frame(t_us=t_us, position=tuple(pose.position),
-                      quaternion=tuple(pose.orientation), intensity=intensity,
+    return wire.Frame(t_us=t_us, position=pose.position,
+                      quaternion=pose.orientation, intensity=intensity,
                       rgb=map_color(normalize(intensity, norm)))
 
 

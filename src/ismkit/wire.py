@@ -36,6 +36,8 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError, ProtocolError
 
 MAGIC = b"ISMP"
@@ -110,10 +112,17 @@ class Frame:
 
     def __post_init__(self):
         # one pack rounds every float to float32 and range-checks t_us and rgb;
-        # float32 values cannot overflow a float64 sum: it is finite iff all are
+        # float32 values cannot overflow a float64 sum: it is finite iff all are.
+        # An array packs faster as a list than element by element as numpy
+        # scalars; the field checks below still see the array, as before
+        position, quaternion = self.position, self.quaternion
+        if isinstance(position, np.ndarray):
+            position = position.tolist()
+        if isinstance(quaternion, np.ndarray):
+            quaternion = quaternion.tolist()
         try:
-            if len(self.position) == 3 and len(self.quaternion) == 4 and len(self.rgb) == 3:
-                f = _FRAME.unpack(_FRAME.pack(self.t_us, *self.position, *self.quaternion,
+            if len(position) == 3 and len(quaternion) == 4 and len(self.rgb) == 3:
+                f = _FRAME.unpack(_FRAME.pack(self.t_us, *position, *quaternion,
                                               self.intensity, *self.rgb, 0, 0))
                 if math.isfinite(sum(f[1:9])):
                     self.__dict__.update(t_us=f[0], position=f[1:4], quaternion=f[4:8],

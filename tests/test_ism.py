@@ -1,8 +1,18 @@
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ismkit import ism
+from ismkit.emd import EmdConfig
 from ismkit.errors import DataError
 from ismkit.psychophysics import amplitude_for_intensity, threshold_at
 from ismkit.signal import Waveform, lowfreq_extract
@@ -291,3 +301,125 @@ class TestIsmConfig:
         out = ism.synthesize(ism.analyze(w, u_model, cfg).profile, None,
                              u_model, cfg, sample_rate_hz=FS)
         assert len(out) == 100 * 50
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the split sees, so a one-CPU runner takes the pool path too.
+
+    The pool is shut down before and after the test, so each test forks its own.
+    """
+    def set_cpus(n):
+        monkeypatch.setattr(ism, "_usable_cpus", lambda: n)
+
+    def drop():
+        if ism._pool is not None:
+            ism._drop_pool(ism._pool)
+    drop()
+    yield set_cpus
+    drop()
+
+
+def _stack(n_rows, offset, n_seg=4, seg_len=25, seed=5):
+    """n_rows noise buffers of n_seg segments after `offset` context samples, as analyze cuts them."""
+    buf_len = n_seg * seg_len
+    x = np.random.default_rng(seed).standard_normal(n_rows * buf_len + offset)
+    return sliding_window_view(x, buf_len + offset)[::buf_len][:n_rows]
+
+
+class TestParallelSplit:
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("rows_past", [-1, 0, 1, 44])
+    def test_split_equals_serial_block_loop(self, cpus, u_model, n_cpus, offset, rows_past):
+        n_rows = ism.PARALLEL_MIN_ROWS + rows_past
+        chunks = _stack(n_rows, offset)
+        args = (offset, 4, 25, 0.005, u_model, ism.IsmConfig())
+        cpus(n_cpus)
+        got = ism._buffer_intensities(chunks, *args)
+        assert (ism._pool is not None) == (n_rows >= ism.PARALLEL_MIN_ROWS)
+        assert np.array_equal(got, ism._block_intensities(chunks, *args))
+        assert got.shape == (n_rows, 4)
+
+    @pytest.mark.parametrize("boundary", [1, 3, 5])
+    def test_split_equals_serial_across_emd_configs(self, cpus, u_model, boundary):
+        chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1, seed=boundary)
+        cfg = ism.IsmConfig(emd=EmdConfig(boundary=boundary, sift_sd_threshold=0.05))
+        args = (1, 4, 25, 0.005, u_model, cfg)
+        cpus(2)
+        got = ism._buffer_intensities(chunks, *args)
+        assert ism._pool is not None
+        assert np.array_equal(got, ism._block_intensities(chunks, *args))
+
+    def test_stays_serial_while_other_threads_run(self, cpus, u_model):
+        chunks = _stack(ism.PARALLEL_MIN_ROWS, 1)
+        args = (1, 4, 25, 0.005, u_model, ism.IsmConfig())
+        cpus(2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = ism._buffer_intensities(chunks, *args)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert ism._pool is None
+        assert np.array_equal(got, ism._block_intensities(chunks, *args))
+
+    def test_streaming_long_chunk_then_buffers_equals_analyze(self, cpus, u_model):
+        n_buffers = ism.PARALLEL_MIN_ROWS + 70
+        x = np.random.default_rng(23).standard_normal(n_buffers * 500 + 60)
+        cpus(1)
+        serial = ism.analyze(Waveform(x, FS), u_model).profile.values
+        cpus(2)
+        batch = ism.analyze(Waveform(x, FS), u_model).profile.values
+        assert ism._pool is not None
+        analyzer = ism.StreamingAnalyzer(FS, u_model)
+        head = (ism.PARALLEL_MIN_ROWS + 20) * 500
+        values = [analyzer.feed(x[:head])[0]]
+        values += [analyzer.feed(x[i:i + 500])[0] for i in range(head, x.size, 500)]
+        values.append(analyzer.finish())
+        assert np.array_equal(batch, serial)
+        assert np.array_equal(np.concatenate(values), serial)
+
+    def test_broken_pool_falls_back_to_serial_then_is_replaced(self, cpus, u_model):
+        # analyze sifts the first buffer alone, then the rest as one stack
+        w = Waveform(np.random.default_rng(29).standard_normal(
+            (ism.PARALLEL_MIN_ROWS + 1) * 500), FS)
+        cpus(1)
+        want = ism.analyze(w, u_model).profile.values
+        cpus(2)
+        assert np.array_equal(ism.analyze(w, u_model).profile.values, want)
+        pool = ism._pool
+        for pid in list(pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        assert np.array_equal(ism.analyze(w, u_model).profile.values, want)
+        assert ism._pool is None
+        assert np.array_equal(ism.analyze(w, u_model).profile.values, want)
+        assert ism._pool is not None and ism._pool is not pool
+
+    def test_no_process_left_running_after_exit(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from ismkit import ism
+            from ismkit.signal import Waveform
+            ism._usable_cpus = lambda: 2
+            x = np.random.default_rng(3).standard_normal((ism.PARALLEL_MIN_ROWS + 1) * 500)
+            ism.analyze(Waveform(x, 5000.0))
+            assert ism._pool is not None
+            """)
+        src = str(Path(ism.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True)
+        try:
+            assert proc.wait(timeout=120) == 0
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)

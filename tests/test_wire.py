@@ -48,13 +48,27 @@ rgb_any = st.one_of(
              min_size=2, max_size=4).map(tuple))
 
 
+def arrays(n):
+    """numpy n-vectors: float64, float32 and int, 2-D, and one element short or long."""
+    return st.one_of(
+        st.lists(st.floats(width=32), min_size=n, max_size=n).map(np.array),
+        st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+        st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.float32)),
+        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+            lambda v: np.array(v).reshape(n, 1)),
+        st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+            lambda v: np.array(v).reshape(1, n)),
+        st.lists(st.floats(), min_size=n - 1, max_size=n + 1).map(np.array))
+
+
 def vectors(n):
     """n-vectors of any floats, some one element short or long, as tuple, list or array."""
     return st.one_of(
-        st.tuples(*[f32] * n), st.tuples(*[floats_any] * n),
-        st.lists(st.floats(width=32), min_size=n, max_size=n).map(np.array),
-        st.one_of(st.lists(floats_any, min_size=n - 1, max_size=n + 1).map(list),
-                  st.lists(st.floats(), min_size=n - 1, max_size=n + 1).map(np.array)))
+        st.tuples(*[f32] * n), st.tuples(*[floats_any] * n), arrays(n),
+        st.lists(floats_any, min_size=n - 1, max_size=n + 1).map(list))
 
 
 def _outcome(build):
@@ -136,6 +150,17 @@ class TestEncodeLayout:
                                                        intensity, rgb))
         # repr tells -0.0 from 0.0 and a numpy scalar from a plain number
         assert repr(got) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=arrays(3), quaternion=arrays(4))
+    def test_frame_from_arrays_matches_per_field_checks(self, position, quaternion):
+        got = _outcome(lambda: Frame(1, position, quaternion, 0.5, (1, 2, 3)))
+        want = _outcome(lambda: reference_frame_fields(1, position, quaternion, 0.5, (1, 2, 3)))
+        if isinstance(want, dict):
+            assert got == Frame(**want)
+            assert all(type(v) is float for v in (*got.position, *got.quaternion))
+        else:
+            assert got == want  # the same exception type and message
 
     @settings(max_examples=300, deadline=None)
     @given(t_us=t_us_any, intensity=floats_any)
