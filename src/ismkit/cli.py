@@ -155,12 +155,11 @@ def cmd_analyze(args) -> int:
         else:
             frames = loaded.samples[:, None]
             channels = 1
-        writer = sess.SessionWriter(args.session, rate, channels, cfg.segment_ms,
-                                    model_id=cfg.model_path or "builtin")
-        writer.append_vibration(frames)
-        for t_s, value in zip(profile.midpoints_s(), profile.values):
-            writer.append_intensity(int(round(t_s * 1e6)), float(value))
-        writer.close()
+        with sess.SessionWriter(args.session, rate, channels, cfg.segment_ms,
+                                model_id=cfg.model_path or "builtin") as writer:
+            writer.append_vibration(frames)
+            for t_s, value in zip(profile.midpoints_s(), profile.values):
+                writer.append_intensity(int(round(t_s * 1e6)), float(value))
     print(f"analyzed segments={len(profile)} out={args.out}")
     return EXIT_OK
 
@@ -213,14 +212,14 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     vibration, poses = simulate(scenario, seed=args.seed)
     frames = np.stack([ch.samples for ch in vibration.channels], axis=1)
-    writer = sess.SessionWriter(args.out, scenario.sample_rate_hz, 4,
-                                model_id="simulated")
-    writer.append_vibration(frames)
-    for pose in poses:
-        writer.append_pose(pose)
-    writer.add_meta("scenario", str(args.scenario))
-    writer.add_meta("seed", str(args.seed))
-    summary = writer.close()
+    with sess.SessionWriter(args.out, scenario.sample_rate_hz, 4,
+                            model_id="simulated") as writer:
+        writer.append_vibration(frames)
+        for pose in poses:
+            writer.append_pose(pose)
+        writer.add_meta("scenario", str(args.scenario))
+        writer.add_meta("seed", str(args.seed))
+        summary = writer.close()
     print(f"simulated duration_s={summary['vibration_duration_s']:g} "
           f"poses={summary['poses']} out={args.out}")
     return EXIT_OK
@@ -292,20 +291,18 @@ def cmd_stream_recv(args) -> int:
         export_ply(points, out)
     else:
         hello = next((m for m in received if isinstance(m, wire.Hello)), None)
-        writer = sess.SessionWriter(
-            out,
-            sample_rate_hz=hello.sample_rate_hz if hello else 5000.0,
-            channels=hello.channels if hello else 4,
-            segment_ms=hello.segment_ms_x10 / 10.0 if hello else 5.0,
-            model_id="received")
-        for m in received:
-            if isinstance(m, wire.Frame):
-                writer.append_pose(PoseSample(m.t_us, np.array(m.position),
-                                              np.array(m.quaternion)))
-                writer.append_intensity(m.t_us, m.intensity)
-            elif isinstance(m, wire.IntensityOnly):
-                writer.append_intensity(m.t_us, m.intensity)
-        writer.close()
+        with sess.SessionWriter(
+                out,
+                sample_rate_hz=hello.sample_rate_hz if hello else 5000.0,
+                channels=hello.channels if hello else 4,
+                segment_ms=hello.segment_ms_x10 / 10.0 if hello else 5.0,
+                model_id="received") as writer:
+            for m in received:
+                if isinstance(m, wire.Frame):
+                    writer.append_pose(PoseSample(m.t_us, m.position, m.quaternion))
+                    writer.append_intensity(m.t_us, m.intensity)
+                elif isinstance(m, wire.IntensityOnly):
+                    writer.append_intensity(m.t_us, m.intensity)
     print(f"received={stats.messages} frames={stats.frames} "
           f"resync_bytes={stats.resync_bytes} out={args.out}")
     return EXIT_OK

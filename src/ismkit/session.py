@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,13 @@ def _store_f32(rec: np.ndarray, name: str, values, what: str) -> None:
 
 
 class SessionWriter:
-    """Incremental session recorder; buffers streams and flushes them as chunks."""
+    """Incremental session recorder; buffers streams and flushes them as chunks.
+
+    Poses and intensities are buffered as columns of machine numbers, not as
+    records, and each flush packs a stream's columns into one structured
+    array. Used as a context manager, it closes on leaving the block, also
+    when an error leaves it, and the file then holds what was appended.
+    """
 
     def __init__(self, path, sample_rate_hz: float = 5000.0, channels: int = 4,
                  segment_ms: float = 5.0, model_id: str = ""):
@@ -86,8 +93,8 @@ class SessionWriter:
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, self.sample_rate_hz,
                                     channels, self.segment_ms, len(ident)) + ident)
         self._vib: list[np.ndarray] = []
-        self._poses: list[PoseSample] = []
-        self._ints: list[tuple[int, float]] = []
+        self._new_pose_columns()
+        self._new_intensity_columns()
         self._meta: dict[str, str] = {}
         self._last_pose_t: int | None = None
         self._last_ints_t: int | None = None
@@ -110,19 +117,40 @@ class SessionWriter:
             raise DataError(
                 f"pose timestamp regression: {pose.t_us} after {self._last_pose_t}")
         self._last_pose_t = pose.t_us
-        self._poses.append(pose)
+        self._pose_t.append(pose.t_us)
+        # PoseSample holds float64 arrays; tobytes also copies a strided one
+        self._pose_position.frombytes(pose.position.tobytes())
+        self._pose_orientation.frombytes(pose.orientation.tobytes())
         self._counts["POSE"] += 1
 
     def append_intensity(self, t_us: int, intensity: float) -> None:
-        t_us = _check_t_us(int(t_us), "intensity")
+        try:
+            t_us = int(t_us)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"intensity timestamp {t_us!r} is not an integer") from None
+        _check_t_us(t_us, "intensity")
         if self._last_ints_t is not None and t_us < self._last_ints_t:
             raise DataError(
                 f"intensity timestamp regression: {t_us} after {self._last_ints_t}")
-        if not math.isfinite(intensity):
+        try:
+            finite = math.isfinite(intensity)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
             raise DataError(f"intensity must be finite, got {intensity}")
         self._last_ints_t = t_us
-        self._ints.append((t_us, float(intensity)))
+        self._ints_t.append(t_us)
+        self._ints_value.append(float(intensity))
         self._counts["INTS"] += 1
+
+    def _new_pose_columns(self) -> None:
+        self._pose_t = array("Q")
+        self._pose_position = array("d")
+        self._pose_orientation = array("d")
+
+    def _new_intensity_columns(self) -> None:
+        self._ints_t = array("Q")
+        self._ints_value = array("d")
 
     def add_meta(self, key: str, value: str) -> None:
         if "=" in key or "\n" in key or "\n" in value:
@@ -139,21 +167,22 @@ class SessionWriter:
             payload = np.concatenate(self._vib, axis=0).astype("<f4").tobytes()
             self._write_chunk(TAG_VIBRATION, payload)
             self._vib.clear()
-        if self._poses:
-            rec = np.empty(len(self._poses), dtype=_POSE_DTYPE)
-            rec["t_us"] = [p.t_us for p in self._poses]
-            _store_f32(rec, "position", [p.position for p in self._poses], "pose position")
-            _store_f32(rec, "orientation", [p.orientation for p in self._poses],
+        if self._pose_t:
+            rec = np.empty(len(self._pose_t), dtype=_POSE_DTYPE)
+            rec["t_us"] = self._pose_t
+            _store_f32(rec, "position", np.frombuffer(self._pose_position).reshape(-1, 3),
+                       "pose position")
+            _store_f32(rec, "orientation",
+                       np.frombuffer(self._pose_orientation).reshape(-1, 4),
                        "pose orientation")
             self._write_chunk(TAG_POSE, rec.tobytes())
-            self._poses.clear()
-        if self._ints:
-            rec = np.empty(len(self._ints), dtype=_INTS_DTYPE)
-            t_us, values = zip(*self._ints)
-            rec["t_us"] = t_us
-            _store_f32(rec, "value", values, "intensity")
+            self._new_pose_columns()
+        if self._ints_t:
+            rec = np.empty(len(self._ints_t), dtype=_INTS_DTYPE)
+            rec["t_us"] = self._ints_t
+            _store_f32(rec, "value", np.frombuffer(self._ints_value), "intensity")
             self._write_chunk(TAG_INTENSITY, rec.tobytes())
-            self._ints.clear()
+            self._new_intensity_columns()
         if self._meta:
             text = "".join(f"{k}={v}\n" for k, v in self._meta.items())
             self._write_chunk(TAG_META, text.encode("utf-8"))
@@ -178,7 +207,8 @@ class SessionWriter:
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if not self._fh.closed:
+            self.close()
 
 
 @dataclass
@@ -260,20 +290,19 @@ class Session:
 
     def save(self, path) -> None:
         """Rewrite the session, preserving unknown chunks verbatim."""
-        writer = SessionWriter(path, self.sample_rate_hz, self.channels,
-                               self.segment_ms, self.model_id)
-        if self.vibration.size:
-            writer.append_vibration(self.vibration)
-        for pose in self.poses:
-            writer.append_pose(pose)
-        for t_us, value in self.intensities:
-            writer.append_intensity(int(t_us), float(value))
-        for key, value in self.meta.items():
-            writer.add_meta(key, value)
-        writer.flush()
-        for tag, payload in self.extra_chunks:
-            writer._write_chunk(tag, payload)
-        writer.close()
+        with SessionWriter(path, self.sample_rate_hz, self.channels,
+                           self.segment_ms, self.model_id) as writer:
+            if self.vibration.size:
+                writer.append_vibration(self.vibration)
+            for pose in self.poses:
+                writer.append_pose(pose)
+            for t_us, value in self.intensities:
+                writer.append_intensity(int(t_us), float(value))
+            for key, value in self.meta.items():
+                writer.add_meta(key, value)
+            writer.flush()
+            for tag, payload in self.extra_chunks:
+                writer._write_chunk(tag, payload)
 
 
 def record(path, *, vibration: np.ndarray | None = None,
@@ -282,22 +311,25 @@ def record(path, *, vibration: np.ndarray | None = None,
            meta: dict[str, str] | None = None,
            sample_rate_hz: float = 5000.0, channels: int | None = None,
            segment_ms: float = 5.0, model_id: str = "") -> dict:
-    """One-shot session recording; returns the writer's summary."""
+    """One-shot session recording; returns the writer's summary.
+
+    A DataError from a bad record closes the file, holding what came before it.
+    """
     if channels is None:
         if vibration is not None and np.asarray(vibration).ndim == 2:
             channels = np.asarray(vibration).shape[1]
         else:
             channels = 1
-    writer = SessionWriter(path, sample_rate_hz, channels, segment_ms, model_id)
-    if vibration is not None and np.asarray(vibration).size:
-        writer.append_vibration(vibration)
-    for pose in poses or []:
-        writer.append_pose(pose)
-    for t_us, value in intensities or []:
-        writer.append_intensity(t_us, value)
-    for key, value in (meta or {}).items():
-        writer.add_meta(key, value)
-    return writer.close()
+    with SessionWriter(path, sample_rate_hz, channels, segment_ms, model_id) as writer:
+        if vibration is not None and np.asarray(vibration).size:
+            writer.append_vibration(vibration)
+        for pose in poses or []:
+            writer.append_pose(pose)
+        for t_us, value in intensities or []:
+            writer.append_intensity(t_us, value)
+        for key, value in (meta or {}).items():
+            writer.add_meta(key, value)
+        return writer.close()
 
 
 def replay_events(session: Session, clock: ReplayClock | None = None):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +29,7 @@ MAX_PIVOT_CONDITION = 1e6
 SPACING_EPSILON_M = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PoseSample:
     """Timestamped rigid-body pose: position in meters, orientation (w, x, y, z)."""
 
@@ -36,11 +37,54 @@ class PoseSample:
     position: np.ndarray
     orientation: np.ndarray
 
-    def __post_init__(self):
-        pos, quat = validate_poses(self.position, self.orientation, ndim=1)
-        object.__setattr__(self, "t_us", int(self.t_us))
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", quat)
+    def __init__(self, t_us: int, position: np.ndarray, orientation: np.ndarray):
+        pos, quat = (_plain_pose(position, orientation)
+                     or validate_poses(position, orientation, ndim=1))
+        _set_t_us(self, int(t_us))
+        _set_position(self, pos)
+        _set_orientation(self, quat)
+
+
+# a frozen dataclass's own __setattr__ refuses every field; these fill its slots
+_set_t_us, _set_position, _set_orientation = (getattr(PoseSample, f.name).__set__
+                                              for f in fields(PoseSample))
+
+# A norm this far inside the tolerance passes validate_poses however numpy
+# orders the sum of squares: four products and three sums differ by a few
+# ULP of 1 between summation orders.
+_PLAIN_NORM_TOL = QUAT_NORM_TOL - 16 * sys.float_info.epsilon
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _plain_pose(position, orientation) -> tuple[np.ndarray, np.ndarray] | None:
+    """One pose as validate_poses returns it, if it surely passes, checked without numpy.
+
+    Takes tuples or lists of Python floats, and float64 vectors, which are
+    returned as they are. Anything else, including every pose the rule
+    rejects, gives None, and validate_poses decides it.
+    """
+    if type(position) is np.ndarray and type(orientation) is np.ndarray:
+        if not (position.dtype is orientation.dtype is _FLOAT64
+                and position.shape == (3,) and orientation.shape == (4,)):
+            return None
+        checked = position, orientation
+        position, orientation = position.tolist(), orientation.tolist()
+    elif type(position) in (tuple, list) and type(orientation) in (tuple, list):
+        checked = None
+    else:
+        return None
+    try:
+        px, py, pz = position
+        w, x, y, z = orientation
+    except ValueError:
+        return None
+    if not type(px) is type(py) is type(pz) is type(w) is type(x) is type(y) is type(z) is float:
+        return None
+    # NaN fails the comparison; a finite sum has finite terms
+    if not (abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= _PLAIN_NORM_TOL
+            and math.isfinite(px + py + pz)):
+        return None
+    return checked or (np.array(position), np.array(orientation))
 
 
 def validate_poses(positions, orientations, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +120,9 @@ def poses_from_arrays(t_us: list[int], positions: np.ndarray,
     poses = []
     for t, p, q in zip(t_us, pos, quat):
         pose = object.__new__(PoseSample)
-        pose.__dict__.update(t_us=t, position=p, orientation=q)
+        _set_t_us(pose, t)
+        _set_position(pose, p)
+        _set_orientation(pose, q)
         poses.append(pose)
     return poses
 

@@ -17,7 +17,9 @@ costs time linear in its bytes however many messages it holds. A decoded
 float is already float32, and an integer already in its field's range, so
 a decoded message is only checked for finite values. A constructed
 `Frame` or `IntensityOnly` is checked by packing its fields once; only when
-that fails are the fields checked one by one, to name the bad one.
+that fails are the fields checked one by one, to name the bad one. Both are
+slotted, without a `__dict__`, so each message is one object for the
+cyclic garbage collector to track.
 
 The sender runs a bounded queue with drop-oldest backpressure: when a live
 consumer lags, stale frames are discarded (and counted) rather than delaying
@@ -34,7 +36,7 @@ import socket
 import struct
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,6 +62,8 @@ _HELLO_MSG = struct.Struct(_HEADER.format + _HELLO.format[1:])
 _FRAME_MSG = struct.Struct(_HEADER.format + _FRAME.format[1:])
 _INTENSITY_MSG = struct.Struct(_HEADER.format + _INTENSITY.format[1:])
 _END_MSG = _HEADER.pack(MAGIC, TYPE_END, 0)
+
+_new = object.__new__
 
 PAYLOAD_SIZES = {
     TYPE_HELLO: _HELLO.size,
@@ -100,7 +104,7 @@ class Hello:
         object.__setattr__(self, "segment_ms_x10", _u(self.segment_ms_x10, 16, "segment_ms_x10"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Frame:
     """One visualization sample. Float fields are stored at float32 precision."""
 
@@ -110,55 +114,69 @@ class Frame:
     intensity: float
     rgb: tuple[int, int, int]
 
-    def __post_init__(self):
+    def __init__(self, t_us: int, position, quaternion, intensity: float, rgb):
         # one pack rounds every float to float32 and range-checks t_us and rgb;
         # float32 values cannot overflow a float64 sum: it is finite iff all are.
         # An array packs faster as a list than element by element as numpy
         # scalars; the field checks below still see the array, as before
-        position, quaternion = self.position, self.quaternion
-        if isinstance(position, np.ndarray):
-            position = position.tolist()
-        if isinstance(quaternion, np.ndarray):
-            quaternion = quaternion.tolist()
+        pos = position.tolist() if isinstance(position, np.ndarray) else position
+        quat = quaternion.tolist() if isinstance(quaternion, np.ndarray) else quaternion
         try:
-            if len(position) == 3 and len(quaternion) == 4 and len(self.rgb) == 3:
-                f = _FRAME.unpack(_FRAME.pack(self.t_us, *position, *quaternion,
-                                              self.intensity, *self.rgb, 0, 0))
+            if len(pos) == 3 and len(quat) == 4 and len(rgb) == 3:
+                f = _FRAME.unpack(_FRAME.pack(t_us, *pos, *quat, intensity, *rgb, 0, 0))
                 if math.isfinite(sum(f[1:9])):
-                    self.__dict__.update(t_us=f[0], position=f[1:4], quaternion=f[4:8],
-                                         intensity=f[8], rgb=f[9:12])
+                    _fill_frame(self, f)
                     return
         except (struct.error, OverflowError, TypeError):
             pass  # the checks below name the field at fault
-        object.__setattr__(self, "t_us", _u(self.t_us, 64, "t_us"))
-        pos = tuple(_f32(v, "position") for v in self.position)
-        quat = tuple(_f32(v, "quaternion") for v in self.quaternion)
+        t_us = _u(t_us, 64, "t_us")
+        pos = tuple(_f32(v, "position") for v in position)
+        quat = tuple(_f32(v, "quaternion") for v in quaternion)
         if len(pos) != 3 or len(quat) != 4:
             raise DataError("Frame needs a 3-vector position and 4-vector quaternion")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "quaternion", quat)
-        object.__setattr__(self, "intensity", _f32(self.intensity, "intensity"))
-        rgb = tuple(_u(c, 8, "rgb") for c in self.rgb)
+        intensity = _f32(intensity, "intensity")
+        rgb = tuple(_u(c, 8, "rgb") for c in rgb)
         if len(rgb) != 3:
             raise DataError("rgb must have 3 components")
-        object.__setattr__(self, "rgb", rgb)
+        _fill_frame(self, (t_us, *pos, *quat, intensity, *rgb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntensityOnly:
     t_us: int
     intensity: float
 
-    def __post_init__(self):
+    def __init__(self, t_us: int, intensity: float):
         try:
-            t_us, intensity = _INTENSITY.unpack(_INTENSITY.pack(self.t_us, self.intensity))
+            t_us, intensity = _INTENSITY.unpack(_INTENSITY.pack(t_us, intensity))
             if math.isfinite(intensity):
-                self.__dict__.update(t_us=t_us, intensity=intensity)
+                _fill_intensity(self, t_us, intensity)
                 return
         except (struct.error, OverflowError, TypeError):
             pass  # the checks below name the field at fault
-        object.__setattr__(self, "t_us", _u(self.t_us, 64, "t_us"))
-        object.__setattr__(self, "intensity", _f32(self.intensity, "intensity"))
+        _fill_intensity(self, _u(t_us, 64, "t_us"), _f32(intensity, "intensity"))
+
+
+# A frozen dataclass's own __setattr__ refuses every field; its slot
+# descriptors set each field once, and cost less than object.__setattr__.
+_set_frame_t_us, _set_position, _set_quaternion, _set_frame_intensity, _set_rgb = (
+    getattr(Frame, f.name).__set__ for f in fields(Frame))
+_set_ints_t_us, _set_ints_intensity = (getattr(IntensityOnly, f.name).__set__
+                                       for f in fields(IntensityOnly))
+
+
+def _fill_frame(message: Frame, f: tuple) -> None:
+    """Set a Frame's fields from its payload's unpacked values, unchecked."""
+    _set_frame_t_us(message, f[0])
+    _set_position(message, f[1:4])
+    _set_quaternion(message, f[4:8])
+    _set_frame_intensity(message, f[8])
+    _set_rgb(message, f[9:12])
+
+
+def _fill_intensity(message: IntensityOnly, t_us: int, intensity: float) -> None:
+    _set_ints_t_us(message, t_us)
+    _set_ints_intensity(message, intensity)
 
 
 @dataclass(frozen=True)
@@ -210,13 +228,6 @@ def _magic_prefix_keep(buf, off: int) -> int:
     return 0
 
 
-def _trusted(cls, fields: dict):
-    """A message built from fields the wire layout already bounds, unchecked."""
-    message = object.__new__(cls)
-    message.__dict__.update(fields)
-    return message
-
-
 def _decode_at(buf: bytes | bytearray, off: int
                ) -> tuple[WireMessage | None, int, int, str | None]:
     """decode() of buf[off:] without copying: (message, consumed, skipped, error)."""
@@ -244,16 +255,24 @@ def _decode_at(buf: bytes | bytearray, off: int
     consumed = skipped + HEADER_SIZE + expected
     start = idx + HEADER_SIZE
 
+    # the layout bounds every field but the floats: a message whose floats are
+    # finite is built unchecked, and any other goes to its constructor, whose
+    # error names the field
     if msg_type == TYPE_FRAME:
         f = _FRAME.unpack_from(buf, start)
-        cls, fields = Frame, {"t_us": f[0], "position": f[1:4], "quaternion": f[4:8],
-                              "intensity": f[8], "rgb": f[9:12]}
         # float32 values cannot overflow a float64 sum: it is finite iff all are
-        finite = math.isfinite(sum(f[1:9]))
+        if math.isfinite(sum(f[1:9])):
+            message = _new(Frame)
+            _fill_frame(message, f)
+            return message, consumed, skipped, None
+        build, args = Frame, (f[0], f[1:4], f[4:8], f[8], f[9:12])
     elif msg_type == TYPE_INTENSITY:
         t_us, intensity = _INTENSITY.unpack_from(buf, start)
-        cls, fields = IntensityOnly, {"t_us": t_us, "intensity": intensity}
-        finite = math.isfinite(intensity)
+        if math.isfinite(intensity):
+            message = _new(IntensityOnly)
+            _fill_intensity(message, t_us, intensity)
+            return message, consumed, skipped, None
+        build, args = IntensityOnly, (t_us, intensity)
     elif msg_type == TYPE_HELLO:
         version, channels, rate, seg = _HELLO.unpack_from(buf, start)
         if version != PROTOCOL_VERSION:
@@ -262,11 +281,9 @@ def _decode_at(buf: bytes | bytearray, off: int
     else:
         return End(), consumed, skipped, None
     try:
-        # only a non-finite float reaches the constructor, whose error names it
-        message = _trusted(cls, fields) if finite else cls(**fields)
+        return build(*args), consumed, skipped, None
     except DataError as exc:
         return None, consumed, skipped, f"bad-field:{exc}"
-    return message, consumed, skipped, None
 
 
 def decode(data: bytes | bytearray | memoryview) -> DecodeResult:
@@ -342,8 +359,9 @@ class FrameSender:
     queue is full the oldest droppable message makes way (drop-oldest), so a
     stalled visualization consumer sees the newest state when it recovers.
     Hello and End are never dropped. The writer takes the whole queue at once
-    and writes it with one `sendall`. Construct without an endpoint to queue
-    offline, then call connect().
+    and writes it with one `sendall`; a send wakes the writer only when it
+    finds the queue empty, so a batch costs one wake-up. Construct without
+    an endpoint to queue offline, then call connect().
     """
 
     def __init__(self, endpoint: str | None = None, queue_capacity: int = 256,
@@ -394,8 +412,11 @@ class FrameSender:
                                 self.drops += 1
                                 break
                 self._n_droppable += 1
+            if not self._queue:
+                # a writer thread waits for a send only on an empty queue;
+                # producers blocked on a full one wait for the writer instead
+                self._wake.notify_all()
             self._queue.append(message)
-            self._wake.notify_all()
 
     def _drain(self) -> None:
         while True:

@@ -288,6 +288,51 @@ class TestStreamLoopback:
         assert len(received.poses) == 50
         assert received.intensities.shape[0] == 100  # 50 frames + 50 intensity-only
 
+    def test_stream_recv_of_bad_frame_closes_its_session(self, tmp_path, capsys):
+        import gc
+        import socket
+        import time
+        import warnings
+        from ismkit.errors import ProtocolError
+        from ismkit.wire import Frame, FrameSender, Hello
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        endpoint = f"127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()
+        # the last Frame's quaternion is not unit-norm: a valid message, a bad pose
+        frames = [Frame(t_us, (0.0, 0.0, 0.0), (w, 0.0, 0.0, 0.0), 0.5, (1, 2, 3))
+                  for t_us, w in ((0, 1.0), (1, 1.0), (2, 2.0))]
+
+        def send():
+            deadline = time.monotonic() + 20.0
+            while True:
+                try:
+                    sender = FrameSender(endpoint, policy="block")
+                    break
+                except ProtocolError:
+                    if time.monotonic() > deadline:
+                        return
+                    time.sleep(0.05)
+            sender.send(Hello(1, 5000, 50))
+            for frame in frames:
+                sender.send(frame)
+            sender.close()
+
+        thread = threading.Thread(target=send)
+        thread.start()
+        out = tmp_path / "recv.isms"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["stream-recv", "--endpoint", endpoint, "--out", str(out),
+                         "--timeout", "20"])
+            gc.collect()
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[data]: quaternion norm 2.0 ")
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert [p.t_us for p in Session.open(out).poses] == [0, 1]
+
     def test_render_from_received_session(self, tmp_path):
         # a session holding both poses and intensities renders directly
         from ismkit.session import record

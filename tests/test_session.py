@@ -1,6 +1,8 @@
+import gc
 import math
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -156,17 +158,104 @@ class TestValidation:
         assert session.poses[0].position.tolist() == [big, -big, 0.0]
         assert session.intensities.tolist() == [[0.0, big]]
 
+    @pytest.mark.parametrize("t_us, intensity", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), ("soon", 0.5), (None, 0.5),
+        (1.5j, 0.5), (0, "loud"), (0, None), (0, 10 ** 400), (0, math.nan), (0, -math.inf),
+    ], ids=["t-nan", "t-inf", "t-minus-inf", "t-str", "t-none", "t-complex", "value-str",
+            "value-none", "value-huge-int", "value-nan", "value-minus-inf"])
+    def test_bad_intensity_is_data_error(self, tmp_path, t_us, intensity):
+        with SessionWriter(tmp_path / "bad.isms", channels=1) as writer:
+            with pytest.raises(DataError) as raised:
+                writer.append_intensity(t_us, intensity)
+        assert type(raised.value) is DataError
 
-def _chunks(data: bytes) -> dict:
-    """Payload of each chunk tag in a session file's bytes (the last of a tag wins)."""
+    def test_accepted_intensity_inputs_unchanged(self, tmp_path):
+        path = tmp_path / "ok.isms"
+        with SessionWriter(path, channels=1) as writer:
+            for t_us, value in [(0, 0), ("5", np.float32(0.25)), (7.9, True),
+                                (np.uint64(9), np.float64(1.5)), (np.int64(11), 2)]:
+                writer.append_intensity(t_us, value)
+        assert Session.open(path).intensities.tolist() == [
+            [0.0, 0.0], [5.0, 0.25], [7.0, 1.0], [9.0, 1.5], [11.0, 2.0]]
+
+    def test_columns_pack_as_records(self, tmp_path):
+        """Buffered columns write the bytes that packing each record would."""
+        rng = np.random.default_rng(8)
+        poses = []
+        for i in range(300):
+            q = rng.standard_normal(4)
+            poses.append(PoseSample(i * 8333, rng.uniform(-2, 2, 3), q / np.linalg.norm(q)))
+        # a strided position array is buffered as its values
+        poses.append(PoseSample(300 * 8333, np.arange(6.0)[::2], IDENTITY_Q))
+        ints = [(i * 5000 + 2500, float(v)) for i, v in enumerate(rng.uniform(0, 3, 500))]
+        path = tmp_path / "columns.isms"
+        with SessionWriter(path, channels=1) as writer:
+            for k, pose in enumerate(poses):
+                writer.append_pose(pose)
+                if k == 100:
+                    writer.flush()
+            for t_us, value in ints:
+                writer.append_intensity(t_us, value)
+        records = [c for c in _chunk_list(path.read_bytes()) if c[0] == TAG_POSE]
+        assert b"".join(payload for _, payload in records) == b"".join(
+            _POSE_RECORD.pack(p.t_us, *p.position, *p.orientation) for p in poses)
+        assert len(records) == 2
+        assert _chunks(path.read_bytes())[TAG_INTENSITY] == b"".join(
+            _INTS_RECORD.pack(t, v) for t, v in ints)
+
+
+def _no_file_left_open(run):
+    """Call run() and fail if it leaves a file for the collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestClosedOnError:
+    """A one-shot write that fails on a bad record still closes its file."""
+
+    def test_record(self, tmp_path):
+        path = tmp_path / "regress.isms"
+
+        def run():
+            with pytest.raises(DataError, match="regression"):
+                record(path, poses=[PoseSample(5, np.zeros(3), IDENTITY_Q),
+                                    PoseSample(3, np.zeros(3), IDENTITY_Q)], channels=1)
+
+        _no_file_left_open(run)
+        # what came before the bad record is a readable session
+        assert [p.t_us for p in Session.open(path).poses] == [5]
+
+    def test_save(self, tmp_path):
+        path = tmp_path / "src.isms"
+        _sample_session(path)
+        session = Session.open(path)
+        session.intensities[2, 1] = math.nan
+
+        def run():
+            with pytest.raises(DataError, match="finite"):
+                session.save(tmp_path / "copy.isms")
+
+        _no_file_left_open(run)
+
+
+def _chunk_list(data: bytes) -> list:
+    """(tag, payload) of each chunk in a session file's bytes, in file order."""
     off = 4 + struct.calcsize("<HdBdH") + struct.unpack_from("<H", data, 4 + 2 + 8 + 1 + 8)[0]
-    out = {}
+    out = []
     while off < len(data):
         tag, length = _CHUNK_HEADER.unpack_from(data, off)
         off += _CHUNK_HEADER.size
-        out[tag] = data[off:off + length]
+        out.append((tag, data[off:off + length]))
         off += length
     return out
+
+
+def _chunks(data: bytes) -> dict:
+    """Payload of each chunk tag in a session file's bytes (the last of a tag wins)."""
+    return dict(_chunk_list(data))
 
 
 def _append_pose_chunk(path, records):

@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ismkit.colormap import TURBO, NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
-from ismkit.trajectory import (SPACING_EPSILON_M, PoseSample, ToolCalibration,
+from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
                                TrajectoryConfig, build_trajectory, export_ply,
                                load_calibration, load_ply, load_pose_csv,
                                pivot_calibrate, quat_to_matrix, save_calibration,
@@ -16,6 +19,7 @@ from ismkit.trajectory import (SPACING_EPSILON_M, PoseSample, ToolCalibration,
 from .reference_trajectory import reference_trajectory
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+EPS = sys.float_info.epsilon
 
 
 def _random_quat(rng):
@@ -99,6 +103,102 @@ class TestPoseSample:
                 single_ok = False
             ref_ok = abs(float(np.linalg.norm(quat[i])) - 1.0) <= 1e-6
             assert stack_ok == single_ok == ref_ok
+
+
+def _scaled_unit(direction, scale):
+    """A quaternion along direction with norm scale, as Python floats."""
+    q = np.asarray(direction, dtype=np.float64)
+    norm = float(np.linalg.norm(q))
+    if not norm or not math.isfinite(norm):
+        q, norm = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    return (q / norm * scale).tolist()
+
+
+plain = st.floats(allow_nan=True, allow_infinity=True)
+# values the pose rule converts, accepts or rejects: NaN and inf, ints,
+# numpy scalars of other widths
+pose_value = st.one_of(
+    plain, plain, st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.floats(width=32).map(np.float32), plain.map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 5e-324, float("nan"), float("inf")]))
+# norms within a few ULP of either tolerance edge, and well inside it
+edge_scale = st.one_of(
+    st.builds(lambda edge, k: edge + k * EPS,
+              st.sampled_from([1.0 - QUAT_NORM_TOL, 1.0 + QUAT_NORM_TOL]),
+              st.integers(-40, 40)),
+    st.floats(1.0 - 2 * QUAT_NORM_TOL, 1.0 + 2 * QUAT_NORM_TOL))
+edge_quaternion = st.builds(_scaled_unit, st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+                            edge_scale)
+
+
+def _container(values):
+    """The same values as a tuple, a list, or a numpy array of its own or another dtype."""
+    return st.sampled_from([
+        tuple, list, np.array, lambda v: np.array(v, dtype=np.float32),
+        lambda v: np.array(v, dtype=">f8"), lambda v: np.array([v])]).map(
+            lambda make: make(values))
+
+
+def _vector(n):
+    return st.one_of(
+        st.lists(pose_value, min_size=n, max_size=n),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        st.lists(pose_value, min_size=n - 1, max_size=n + 1)).flatmap(_container)
+
+
+def _pose_arrays(position, orientation):
+    pose = PoseSample(1, position, orientation)
+    return pose.position, pose.orientation
+
+
+def _pose_outcome(build):
+    """Both arrays' dtype and bits, or the type and message of what build() raises."""
+    try:
+        position, orientation = build()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (position.dtype, position.shape, position.tobytes(),
+            orientation.dtype, orientation.shape, orientation.tobytes())
+
+
+class TestOnePoseCheck:
+    """PoseSample decides one pose as validate_poses(..., ndim=1) does, to the bit."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(position=_vector(3),
+           orientation=st.one_of(_vector(4), edge_quaternion.flatmap(_container)))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_matches_validate_poses(self, position, orientation):
+        got = _pose_outcome(lambda: _pose_arrays(position, orientation))
+        want = _pose_outcome(lambda: validate_poses(position, orientation, ndim=1))
+        assert got == want
+
+    @pytest.mark.parametrize("make", [tuple, np.array])
+    @pytest.mark.parametrize("edge", [1.0 - QUAT_NORM_TOL, 1.0 + QUAT_NORM_TOL])
+    def test_tolerance_edge_ulp_by_ulp(self, edge, make):
+        rng = np.random.default_rng(5)
+        position = make((0.5, -0.25, 2.0))
+        for k in range(-64, 65):
+            quat = make(_scaled_unit(rng.standard_normal(4), edge + k * EPS))
+            got = _pose_outcome(lambda: _pose_arrays(position, quat))
+            assert got == _pose_outcome(lambda: validate_poses(position, quat, ndim=1))
+
+    def test_record_is_slotted(self):
+        pose = PoseSample(7, (0.5, -0.25, 2.0), (1.0, 0.0, 0.0, 0.0))
+        assert not hasattr(pose, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            pose.t_us = 8
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(pose, protocol))
+            assert type(copy) is PoseSample and copy.t_us == 7
+            assert copy.position.tobytes() == pose.position.tobytes()
+            assert copy.orientation.tobytes() == pose.orientation.tobytes()
+        assert replace(pose) == pose
+        moved = replace(pose, t_us=9)
+        assert moved.t_us == 9 and moved.position is pose.position
+        with pytest.raises(DataError, match="quaternion norm 2.0"):
+            replace(pose, orientation=(2.0, 0.0, 0.0, 0.0))
 
 
 class TestTipPosition:

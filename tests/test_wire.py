@@ -1,9 +1,11 @@
 import gc
+import pickle
 import socket
 import struct
 import sys
 import threading
 import time
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -79,6 +81,11 @@ def _outcome(build):
         return type(exc).__name__, str(exc)
 
 
+def _field_dict(message) -> dict:
+    """A message's fields by name, as the reference checks return them."""
+    return {f.name: getattr(message, f.name) for f in fields(message)}
+
+
 # one feed of 8x the Frames: linear time reads about 8x, quadratic 64x; the
 # bound sits between them, on the geometric midpoint, ~3x from either side
 LINEAR_FEED_BOUND = 22.0
@@ -145,7 +152,7 @@ class TestEncodeLayout:
     @given(t_us=t_us_any, position=vectors(3), quaternion=vectors(4), intensity=floats_any,
            rgb=rgb_any)
     def test_frame_matches_per_field_checks(self, t_us, position, quaternion, intensity, rgb):
-        got = _outcome(lambda: vars(Frame(t_us, position, quaternion, intensity, rgb)))
+        got = _outcome(lambda: _field_dict(Frame(t_us, position, quaternion, intensity, rgb)))
         want = _outcome(lambda: reference_frame_fields(t_us, position, quaternion,
                                                        intensity, rgb))
         # repr tells -0.0 from 0.0 and a numpy scalar from a plain number
@@ -165,13 +172,31 @@ class TestEncodeLayout:
     @settings(max_examples=300, deadline=None)
     @given(t_us=t_us_any, intensity=floats_any)
     def test_intensity_only_matches_per_field_checks(self, t_us, intensity):
-        got = _outcome(lambda: vars(IntensityOnly(t_us, intensity)))
+        got = _outcome(lambda: _field_dict(IntensityOnly(t_us, intensity)))
         want = _outcome(lambda: reference_intensity_fields(t_us, intensity))
         assert repr(got) == repr(want)
 
     def test_pad_bytes_zero(self):
         frame = Frame(1, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (9, 8, 7))
         assert encode(frame)[-2:] == b"\x00\x00"
+
+    @pytest.mark.parametrize("message", [
+        Frame(1, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0, 0.0), 0.5, (9, 8, 7)),
+        IntensityOnly(3, 0.25),
+    ], ids=["Frame", "IntensityOnly"])
+    def test_records_are_slotted(self, message):
+        assert not hasattr(message, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            message.t_us = 2
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(message, protocol))
+            assert type(copy) is type(message)
+            assert repr(_field_dict(copy)) == repr(_field_dict(message))
+        assert replace(message) == message and hash(replace(message)) == hash(message)
+        assert replace(message, t_us=2) != message
+        assert replace(message, t_us=2) == replace(decode(encode(message)).message, t_us=2)
+        with pytest.raises(DataError, match="t_us out of range"):
+            replace(message, t_us=-1)
 
 
 class TestDecode:
@@ -561,6 +586,22 @@ class TestSenderQueue:
         for p in range(n_producers):
             mine = [t for t in t_us if t // 10 ** 6 == p]
             assert mine == sorted(mine), p
+
+    def test_one_wake_up_per_batch(self):
+        """A send wakes the writer thread only when it may wait: on an empty queue."""
+        sender = FrameSender(queue_capacity=300)
+        wakes = []
+        notify_all = sender._wake.notify_all
+
+        def counting_notify_all():
+            wakes.append(len(sender._queue))
+            notify_all()
+
+        sender._wake.notify_all = counting_notify_all
+        for i in range(100):
+            sender.send(_frame_of(i))
+        assert wakes == [0]
+        sender.close()
 
     def test_queued_messages_go_in_one_sendall(self, monkeypatch):
         queued = [Hello(4, 5000, 50)] + [_frame_of(i) for i in range(300)]
