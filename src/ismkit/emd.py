@@ -92,6 +92,18 @@ def _extrema_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row, locs, rising[flips]
 
 
+def _has_extrema_rows(x: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-D stack have an interior extremum, as a bool per row.
+
+    A row has one exactly when some step rises and some step falls, since
+    the row turns somewhere between the two. These are the rows
+    _extrema_rows finds extrema in (both count a NaN step as falling), found
+    without locating the extrema.
+    """
+    d = x[:, 1:] - x[:, :-1]
+    return (d > 0).any(axis=1) & ~(d >= 0).all(axis=1)
+
+
 def _mirror_knots(x: np.ndarray, max_idx: np.ndarray, min_idx: np.ndarray,
                   n_mirror: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extend extrema past both edges by symmetric reflection.
@@ -293,11 +305,23 @@ def _spline_mean_flat(t: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int
     pos[end[half:]] = n
     covers = pos[1:] - pos[:-1]
     covers[end[:-1]] = n - pos[end[:-1]]
-    dt = (np.arange(n, dtype=np.float64) - t[:-1].repeat(covers).reshape(-1, n)).ravel()
-    env = v[:-1].repeat(covers) + dt * (c.repeat(covers) + dt * (
-        b.repeat(covers) + dt * a.repeat(covers)))
+    dt = t[:-1].repeat(covers).reshape(-1, n)
+    np.subtract(np.arange(n, dtype=np.float64), dt, out=dt)
+    dt = dt.ravel()
+    # Horner's rule, v + dt * (c + dt * (b + dt * a)), in place; each step
+    # rounds as the nested expression does
+    env = a.repeat(covers)
+    env *= dt
+    env += b.repeat(covers)
+    env *= dt
+    env += c.repeat(covers)
+    env *= dt
+    env += v[:-1].repeat(covers)
     env = env.reshape(-1, n)
-    return 0.5 * (env[:half] + env[half:])
+    mean = env[:half]
+    mean += env[half:]
+    mean *= 0.5
+    return mean
 
 
 def _envelope_mean_rows(x: np.ndarray, boundary: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +399,7 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
         if alive.size == 0:
             break
         h = _sift(r, mean, cfg)
-        keep = np.zeros(alive.size, dtype=bool)
-        keep[_extrema_rows(h)[0]] = True
+        keep = _has_extrema_rows(h)
         if not keep.all():  # sifting flattened the remainder
             residual[alive[~keep]] = r[~keep]
             alive, r, h = alive[keep], r[keep], h[keep]
@@ -441,18 +464,20 @@ def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0
 
     s = np.sign(imfs[:, :end])
     nonzero = s != 0
+    # flips[:, j]: the sign flips from sample lo - 1 + j to lo + j, the sample
+    # the flip is attributed to
+    lo = max(offset, 1)
     if nonzero.all():
-        flips = s[:, :-1] != s[:, 1:]
+        flips = s[:, lo - 1:-1] != s[:, lo:]
     else:
         # forward-fill zero signs so a crossing through an exact zero counts once
         idx = np.where(nonzero, np.arange(end), 0)
         np.maximum.accumulate(idx, axis=1, out=idx)
         filled = np.take_along_axis(s, idx, axis=1)
-        flips = (filled[:, :-1] != filled[:, 1:]) & (filled[:, :-1] != 0)
-    prefix = np.zeros((rows, end), dtype=np.int64)
-    np.cumsum(flips, axis=1, out=prefix[:, 1:])
-    starts = offset + np.arange(n_seg, dtype=np.int64) * seg_len
-    crossings = prefix[:, starts + seg_len - 1] - prefix[:, np.maximum(starts - 1, 0)]
+        flips = (filled[:, lo - 1:-1] != filled[:, lo:]) & (filled[:, lo - 1:-1] != 0)
+    if offset == 0:  # no flip ends at sample 0
+        flips = np.concatenate([np.zeros((rows, 1), dtype=bool), flips], axis=1)
+    crossings = flips.reshape(rows, n_seg, seg_len).sum(axis=2)
     # a zero sample on the span edge marks a crossing instant at the edge,
     # unless the whole span is zero
     live = nonzero.any(axis=1)

@@ -14,19 +14,21 @@ crossfade at each segment start so amplitude steps never click.
 A long stack of buffers is split across CPU cores. Buffers are decomposed
 BLOCK_ROWS at a time; a stack of at least PARALLEL_MIN_ROWS rows is cut
 into contiguous runs of whole blocks, one per CPU in the process's affinity
-mask (so `taskset` limits it). The calling process computes the first run
-and a shared pool of CPUs - 1 worker processes the others, each with the
-same block loop; the results are joined in row order. A row's sift does not
-depend on which block holds it and the intensity sums stay inside a block,
-so the profile equals the serial one bit for bit. The pool starts on the
-first large stack, never at import. Its workers are forked: on 2 cores the
-first 4-channel 60 s analyze took 0.51-0.57 s, against 1.62-1.72 s with
+mask (so `taskset` limits it). A shared pool of CPUs - 1 worker processes
+takes every run but the last, which is the shortest; the calling process
+hands those out first, then runs StreamingAnalyzer's causal low-pass while
+the workers sift, then sifts the last run itself with the same block loop.
+The results are joined in row order. A row's sift does not depend on which
+block holds it and the intensity sums stay inside a block, so the profile
+equals the serial one bit for bit. The pool starts on the first large
+stack, never at import. Its workers are forked: on 2 cores the first
+4-channel 60 s analyze took 0.51-0.57 s, against 1.62-1.72 s with
 `forkserver` and 1.47-1.83 s with `spawn`, whose workers import the package
 afresh. Forking a process that runs other threads is unsafe, so the pool is
 only created while the caller is the process's one thread. Short stacks
 (every live feed), one-CPU processes and platforms without `fork` stay
-serial. A stack whose pool broke (a worker was killed) is recomputed
-serially, and the next large stack forks a new pool.
+serial. If the pool breaks (a worker was killed), the calling process sifts
+the workers' runs itself, and the next large stack forks a new pool.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ import csv
 import multiprocessing
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,7 +155,7 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
 def _block_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int,
                        seg_duration_s: float, model: psy.PsychoModel,
                        cfg: IsmConfig) -> np.ndarray:
-    """_buffer_intensities in one process: BLOCK_ROWS rows at a time."""
+    """_start_intensities in one process: BLOCK_ROWS rows at a time."""
     grid = SegmentGrid(seg_len, n_seg, seg_duration_s)
     out = np.zeros((chunks.shape[0], n_seg), dtype=np.float64)
     for b in range(0, chunks.shape[0], BLOCK_ROWS):
@@ -169,33 +173,47 @@ def _block_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int
     return out
 
 
-def _buffer_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int,
-                        seg_duration_s: float, model: psy.PsychoModel,
-                        cfg: IsmConfig) -> np.ndarray:
+def _start_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int,
+                       seg_duration_s: float, model: psy.PsychoModel,
+                       cfg: IsmConfig) -> Callable[[], np.ndarray]:
     """Total per-segment intensity of each buffer in a (buffers, samples) stack.
 
     Every row is `offset` context samples followed by n_seg segments. Rows
     are decomposed BLOCK_ROWS at a time, and all IMFs of a block are measured
     and mapped to intensity in one pass. A stack of PARALLEL_MIN_ROWS or more
     is split into runs of whole blocks across CPUs (see the module
-    docstring). Returns (buffers, n_seg).
+    docstring). The work is started here and finished by calling the
+    result, which returns (buffers, n_seg): the workers get their runs
+    before this returns, and the call sifts the last run in this process and
+    joins them, so the caller can do other work in between. Without workers
+    all the work happens in the call.
     """
     args = (offset, n_seg, seg_len, seg_duration_s, model, cfg)
     cpus = _usable_cpus() if chunks.shape[0] >= PARALLEL_MIN_ROWS else 1
     pool = _worker_pool(cpus - 1) if cpus > 1 else None
+    serial = partial(_block_intensities, chunks, *args)
     if pool is None:
-        return _block_intensities(chunks, *args)
+        return serial
     n_blocks = -(-chunks.shape[0] // BLOCK_ROWS)
     n_parts = min(cpus, n_blocks)
-    cuts = [BLOCK_ROWS * (n_blocks * i // n_parts) for i in range(n_parts + 1)]
+    # the earlier runs take any extra block, so this process's run is the shortest
+    cuts = [BLOCK_ROWS * -(-n_blocks * i // n_parts) for i in range(n_parts + 1)]
     parts = [chunks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     try:
-        futures = [pool.submit(_block_intensities, part, *args) for part in parts[1:]]
-        first = _block_intensities(parts[0], *args)
-        return np.concatenate([first, *(f.result() for f in futures)])
+        futures = [pool.submit(_block_intensities, part, *args) for part in parts[:-1]]
     except BrokenProcessPool:
         _drop_pool(pool)
-        return _block_intensities(chunks, *args)
+        return serial
+
+    def finish() -> np.ndarray:
+        last = _block_intensities(parts[-1], *args)
+        try:
+            runs = [f.result() for f in futures]
+        except BrokenProcessPool:  # a worker died: sift its runs here
+            _drop_pool(pool)
+            runs = [_block_intensities(part, *args) for part in parts[:-1]]
+        return np.concatenate([*runs, last])
+    return finish
 
 
 def analyze(waveform: Waveform, model: psy.PsychoModel | None = None,
@@ -261,14 +279,13 @@ class StreamingAnalyzer:
             raise DataError("feed expects a 1-D sample chunk")
         if samples.size == 0:
             return np.empty(0), Waveform(samples, self._rate)
-        low, self._zi = sosfilt(self._sos, samples, zi=self._zi)
         self._tail = np.concatenate([self._tail, samples])
 
-        out: list[np.ndarray] = []
+        pending: list[Callable[[], np.ndarray]] = []
         buf_len = self._buf_segments * self._seg_len
         args = (self._seg_len, self._seg_duration_s, self._model, self._cfg)
         if self._context == 0 and self._tail.size >= buf_len:
-            out.append(_buffer_intensities(
+            pending.append(_start_intensities(
                 self._tail[None, :buf_len], 0, self._buf_segments, *args))
             # keep the last consumed sample as context for the next buffer
             self._tail = self._tail[buf_len - 1:]
@@ -278,9 +295,12 @@ class StreamingAnalyzer:
             # row k: buffer k after its one context sample, as a view
             rows = sliding_window_view(self._tail[:n_rows * buf_len + 1],
                                        buf_len + 1)[::buf_len]
-            out.append(_buffer_intensities(rows, 1, self._buf_segments, *args))
+            pending.append(_start_intensities(rows, 1, self._buf_segments, *args))
             self._tail = self._tail[n_rows * buf_len:]
-        values = np.concatenate([o.ravel() for o in out]) if out else np.empty(0)
+        # any workers sift their runs while this process filters
+        low, self._zi = sosfilt(self._sos, samples, zi=self._zi)
+        values = (np.concatenate([p().ravel() for p in pending]) if pending
+                  else np.empty(0))
         return values, Waveform(low, self._rate)
 
     def finish(self) -> np.ndarray:
@@ -292,9 +312,9 @@ class StreamingAnalyzer:
         if n_seg < 1:
             return np.empty(0)
         chunk = self._tail[:self._context + n_seg * self._seg_len]
-        return _buffer_intensities(
+        return _start_intensities(
             chunk[None], self._context, n_seg, self._seg_len,
-            self._seg_duration_s, self._model, self._cfg)[0]
+            self._seg_duration_s, self._model, self._cfg)()[0]
 
 
 def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...]

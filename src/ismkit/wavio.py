@@ -69,14 +69,19 @@ def load_wav(path) -> Waveform | MultiChannelWaveform:
     if n_channels not in (1, 4):
         raise DataError(f"{path}: {n_channels} channels; only 1 or 4 supported")
 
-    if format_tag == WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2")
-        samples = raw.astype(np.float64) / PCM16_FULL_SCALE
-    elif format_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if not ((format_tag == WAVE_FORMAT_PCM and bits == 16)
+            or (format_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32)):
         raise FileFormatError(
             f"{path}: unsupported encoding (format_tag={format_tag:#06x}, {bits}-bit)")
+    frame_bytes = n_channels * bits // 8
+    if len(data) % frame_bytes:
+        raise FileFormatError(
+            f"{path}: data chunk of {len(data)} bytes is not whole "
+            f"{n_channels}-channel {bits}-bit frames")
+    if bits == 16:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / PCM16_FULL_SCALE
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     if n_channels == 1:
         return Waveform(samples, float(sample_rate))

@@ -80,6 +80,28 @@ class TestAnalyze:
         assert err.startswith("error[data]:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("command", ["analyze", "convert"])
+    @pytest.mark.parametrize("n_channels,n_bytes", [(1, 1001), (4, 2 * 1002)])
+    def test_partial_frame_wav_exits_with_data_error(self, tmp_path, capsys, command,
+                                                     n_channels, n_bytes):
+        import struct
+        # a PCM16 data chunk of an odd byte count, or 4-channel samples
+        # that do not fill the last frame
+        wav = tmp_path / "partial.wav"
+        payload = bytes(n_bytes)
+        fmt = struct.pack("<HHIIHH", 1, n_channels, 5000, 5000 * 2 * n_channels,
+                          2 * n_channels, 16)
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+            + b"data" + struct.pack("<I", n_bytes) + payload + b"\x00" * (n_bytes % 2)
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        out = ["--out", str(tmp_path / "out.csv")] if command == "analyze" else [
+            str(tmp_path / "out.wav")]
+        code = main([command, str(wav), *out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and str(wav) in err
+        assert "\n" not in err.strip()
+
     def test_four_channel_fused(self, tmp_path, u_model):
         t = np.arange(5000) / FS
         amp = threshold_at(u_model, 200.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ismkit.emd import EmdConfig, _component_arrays, _extrema_rows, emd_decompose
+from ismkit.emd import (EmdConfig, _component_arrays, _extrema_rows, _has_extrema_rows,
+                        emd_decompose)
 from ismkit.errors import DataError
 from ismkit.signal import SegmentGrid, Waveform, segment
 
@@ -64,6 +65,97 @@ class TestZeroCrossings:
 
     def test_touch_without_crossing(self):
         assert _crossings(np.array([1.0, 0.0, 1.0])) == 0
+
+
+def _brute_crossings(row, offset, n_seg, seg_len):
+    """Crossings per segment, one sample at a time.
+
+    A zero sample takes the sign of the last nonzero one before it (none
+    before the first), and a flip counts in the segment of its later sample.
+    Unless the whole span is zero, a zero first sample (offset 0 only) adds a
+    crossing to the first segment and a zero last sample one to the last.
+    """
+    end = offset + n_seg * seg_len
+    filled, sign = [], 0.0
+    for v in row[:end]:
+        sign = np.sign(v) if v != 0 else sign
+        filled.append(sign)
+    counts = [sum(1 for i in range(max(lo, 1), lo + seg_len)
+                  if filled[i - 1] != 0 and filled[i] != filled[i - 1])
+              for lo in range(offset, end, seg_len)]
+    if any(v != 0 for v in row[:end]):
+        counts[0] += offset == 0 and row[0] == 0
+        counts[-1] += row[end - 1] == 0
+    return counts
+
+
+@st.composite
+def _zero_rich_stacks(draw):
+    """(rows, offset, n_seg, seg_len): few distinct values, exact zeros, zero spans."""
+    offset = draw(st.sampled_from([0, 1, 2]))
+    seg_len = draw(st.integers(1, 6))
+    n_seg = draw(st.integers(1, 5))
+    n = offset + n_seg * seg_len + draw(st.integers(0, 2))  # samples past the grid
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0]),
+                                     min_size=n, max_size=n)))
+        lo = draw(st.integers(0, n))
+        row[lo:lo + draw(st.integers(0, n))] = 0.0
+        rows.append(row)
+    return np.stack(rows), offset, n_seg, seg_len
+
+
+class TestCrossingCount:
+    @seed(16)
+    @settings(max_examples=400, deadline=None)
+    @given(case=_zero_rich_stacks())
+    def test_matches_brute_force_count(self, case):
+        rows, offset, n_seg, seg_len = case
+        grid = SegmentGrid(seg_len, n_seg, seg_len / FS)
+        amp, freq, resolvable = _component_arrays(rows, grid, offset)
+        for r, row in enumerate(rows):
+            counts = np.array(_brute_crossings(row, offset, n_seg, seg_len))
+            segs = row[offset:offset + n_seg * seg_len].reshape(n_seg, seg_len)
+            want_amp = np.sqrt((2.0 / seg_len) * (segs ** 2).sum(axis=1))
+            assert np.array_equal(freq[r], counts / (2.0 * grid.segment_duration_s))
+            assert np.array_equal(resolvable[r], counts >= 2)
+            assert np.allclose(amp[r], want_amp, rtol=1e-14, atol=0.0)
+
+
+# length-8 rows, each named by the shape that matters to the keep rule
+KEEP_RULE_ROWS = {
+    "constant": [2.0] * 8,
+    "zeros": [0.0] * 8,
+    "rising": [0, 1, 2, 3, 4, 5, 6, 7],
+    "rising_with_flat_steps": [0, 1, 1, 2, 3, 3, 3, 4],
+    "falling_with_flat_steps": [4, 4, 3, 3, 2, 1, 1, 0],
+    "flat_then_one_step": [1, 1, 1, 1, 1, 1, 1, 0],
+    "one_maximum": [0, 1, 2, 3, 2, 1, 0, -1],
+    "one_minimum_at_second_sample": [1, 0, 1, 2, 3, 4, 5, 6],
+    "plateau_maximum": [0, 1, 2, 2, 2, 1, 0, -1],
+    "plateau_minimum": [3, 2, 1, 1, 1, 1, 2, 3],
+    "flip_only_across_a_plateau": [0, 1, 1, 1, 1, 1, 1, 0],
+    "flat_steps_between_turns": [0, 1, 1, 0, 0, 1, 1, 0],
+    "zigzag": [0, 1, 0, 1, 0, 1, 0, 1],
+    "nan_step": [0, 1, np.nan, 2, 3, 4, 5, 6],
+}
+
+
+class TestImfKeepRule:
+    @pytest.mark.parametrize("name", KEEP_RULE_ROWS)
+    def test_agrees_with_extrema_scan_per_row(self, name):
+        row = np.array(KEEP_RULE_ROWS[name], dtype=np.float64)[None]
+        assert _has_extrema_rows(row)[0] == (_extrema_rows(row)[0].size > 0)
+
+    def test_agrees_with_extrema_scan_on_stacks(self):
+        named = np.array(list(KEEP_RULE_ROWS.values()), dtype=np.float64)
+        # small integer walks: flat steps, plateaus and monotone rows are common
+        walks = np.random.default_rng(16).integers(-1, 2, size=(2000, 8)).cumsum(axis=1)
+        for h in (named, walks.astype(np.float64)):
+            want = np.zeros(h.shape[0], dtype=bool)
+            want[_extrema_rows(h)[0]] = True
+            assert np.array_equal(_has_extrema_rows(h), want)
 
 
 class TestDecompose:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -336,7 +337,7 @@ class TestParallelSplit:
         chunks = _stack(n_rows, offset)
         args = (offset, 4, 25, 0.005, u_model, ism.IsmConfig())
         cpus(n_cpus)
-        got = ism._buffer_intensities(chunks, *args)
+        got = ism._start_intensities(chunks, *args)()
         assert (ism._pool is not None) == (n_rows >= ism.PARALLEL_MIN_ROWS)
         assert np.array_equal(got, ism._block_intensities(chunks, *args))
         assert got.shape == (n_rows, 4)
@@ -347,7 +348,7 @@ class TestParallelSplit:
         cfg = ism.IsmConfig(emd=EmdConfig(boundary=boundary, sift_sd_threshold=0.05))
         args = (1, 4, 25, 0.005, u_model, cfg)
         cpus(2)
-        got = ism._buffer_intensities(chunks, *args)
+        got = ism._start_intensities(chunks, *args)()
         assert ism._pool is not None
         assert np.array_equal(got, ism._block_intensities(chunks, *args))
 
@@ -359,7 +360,7 @@ class TestParallelSplit:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            got = ism._buffer_intensities(chunks, *args)
+            got = ism._start_intensities(chunks, *args)()
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -383,6 +384,29 @@ class TestParallelSplit:
         assert np.array_equal(batch, serial)
         assert np.array_equal(np.concatenate(values), serial)
 
+    def test_lowpass_runs_once_per_feed_on_the_pool_path(self, cpus, u_model):
+        n_buffers = ism.PARALLEL_MIN_ROWS + 70
+        x = np.random.default_rng(31).standard_normal(n_buffers * 500 + 60)
+        cpus(1)
+        want = ism.analyze(Waveform(x, FS), u_model)
+        cpus(2)
+        analyzer = ism.StreamingAnalyzer(FS, u_model)
+        head = (ism.PARALLEL_MIN_ROWS + 20) * 500
+        lows = [analyzer.feed(x[:head])[1].samples]
+        assert ism._pool is not None
+        lows += [analyzer.feed(x[i:i + 500])[1].samples for i in range(head, x.size, 500)]
+        assert np.array_equal(np.concatenate(lows), want.lowfreq.samples)
+        # with the pool killed, the workers' runs are sifted again in this
+        # process; the filter still runs once
+        for pid in list(ism._pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        analyzer = ism.StreamingAnalyzer(FS, u_model)
+        values, low = analyzer.feed(x)
+        assert ism._pool is None
+        assert np.array_equal(low.samples, want.lowfreq.samples)
+        values = np.concatenate([values, analyzer.finish()])
+        assert np.array_equal(values, want.profile.values)
+
     def test_broken_pool_falls_back_to_serial_then_is_replaced(self, cpus, u_model):
         # analyze sifts the first buffer alone, then the rest as one stack
         w = Waveform(np.random.default_rng(29).standard_normal(
@@ -398,6 +422,22 @@ class TestParallelSplit:
         assert ism._pool is None
         assert np.array_equal(ism.analyze(w, u_model).profile.values, want)
         assert ism._pool is not None and ism._pool is not pool
+
+    def test_pool_found_broken_before_handing_out_runs(self, cpus, u_model):
+        chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1)
+        args = (1, 4, 25, 0.005, u_model, ism.IsmConfig())
+        cpus(2)
+        want = ism._block_intensities(chunks, *args)
+        assert np.array_equal(ism._start_intensities(chunks, *args)(), want)
+        pool = ism._pool
+        for pid in list(pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken  # so submitting the runs raises BrokenProcessPool
+        assert np.array_equal(ism._start_intensities(chunks, *args)(), want)
+        assert ism._pool is None
 
     def test_no_process_left_running_after_exit(self):
         code = textwrap.dedent("""

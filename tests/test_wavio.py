@@ -110,3 +110,30 @@ def test_missing_data_chunk_rejected(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     with pytest.raises(FileFormatError):
         load_wav(path)
+
+
+def _raw_wav(path, n_channels, payload, format_tag=1, bits=16):
+    """A WAV file whose data chunk holds `payload` as it is, padded to a word."""
+    block_align = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", format_tag, n_channels, 5000, 5000 * block_align,
+                      block_align, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+        + b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) % 2)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+# (channels, data chunk bytes, format tag, bits): not a whole number of frames
+PARTIAL_FRAMES = {
+    "pcm16_odd_bytes": (1, 11, 1, 16),
+    "four_channels_partial_frame": (4, 2 * 10, 1, 16),
+    "float32_partial_sample": (1, 10, 3, 32),
+}
+
+
+@pytest.mark.parametrize("case", PARTIAL_FRAMES)
+def test_partial_frame_rejected(tmp_path, case):
+    n_channels, n_bytes, format_tag, bits = PARTIAL_FRAMES[case]
+    path = tmp_path / f"{case}.wav"
+    _raw_wav(path, n_channels, bytes(range(n_bytes)), format_tag, bits)
+    with pytest.raises(FileFormatError, match=str(path)):
+        load_wav(path)
