@@ -19,7 +19,8 @@ import numpy as np
 
 from . import ism, psychophysics as psy, session as sess, wire
 from .colormap import NormalizationConfig, map_color, normalize
-from .errors import DataError, FileFormatError, IsmkitError, ProtocolError, UsageError
+from .errors import (DataError, FileFormatError, IsmkitError, ProtocolError, UsageError,
+                     decoding)
 from .scenario import load_scenario, simulate
 from .signal import MultiChannelWaveform, Waveform
 from .trajectory import (IDENTITY_CALIBRATION, PoseSample, TrajectoryConfig,
@@ -36,30 +37,38 @@ EXIT_DATA = 2
 EXIT_IO = 3
 EXIT_PROTOCOL = 4
 
-CONFIG_KEYS = {
-    "model": str,
-    "i_max": float,
-    "carrier_hz": float,
-    "buffer_ms": float,
-    "segment_ms": float,
-    "endpoint": str,
-    "min_spacing_m": float,
-    "max_point_rate_hz": float,
-    "align_tolerance_ms": float,
+# config key: (value type, argparse dest of its flag, flag help, the library config
+# whose field of the same name it sets)
+SETTINGS = {
+    "model": (str, "model", "psychophysical model file", None),
+    "i_max": (float, "imax", "normalization maximum intensity", NormalizationConfig),
+    "carrier_hz": (float, "carrier", "carrier frequency Hz", ism.IsmConfig),
+    "buffer_ms": (float, "buffer_ms", None, ism.IsmConfig),
+    "segment_ms": (float, "segment_ms", None, ism.IsmConfig),
+    "min_spacing_m": (float, "min_spacing", None, TrajectoryConfig),
+    "max_point_rate_hz": (float, "max_rate", None, TrajectoryConfig),
+    "align_tolerance_ms": (float, None, None, TrajectoryConfig),
+    "endpoint": (str, "endpoint", "host:port", None),
 }
 
 
 @dataclass
 class CliConfig:
-    model_path: str | None = None
-    i_max: float = 1.0
-    carrier_hz: float = 200.0
-    buffer_ms: float = 100.0
-    segment_ms: float = 5.0
-    endpoint: str | None = None
-    min_spacing_m: float = 0.002
-    max_point_rate_hz: float = 200.0
-    align_tolerance_ms: float = 20.0
+    """The settings given, by config key; the library's defaults stand in for the rest."""
+
+    values: dict
+
+    @property
+    def model_path(self) -> str | None:
+        return self.values.get("model")
+
+    @property
+    def endpoint(self) -> str | None:
+        return self.values.get("endpoint")
+
+    def _build(self, cls, **defaults):
+        return cls(**defaults | {key: value for key, value in self.values.items()
+                                 if SETTINGS[key][3] is cls})
 
     def model(self) -> psy.PsychoModel:
         if self.model_path is None:
@@ -67,61 +76,45 @@ class CliConfig:
         return psy.load_model(self.model_path)
 
     def ism_config(self) -> ism.IsmConfig:
-        return ism.IsmConfig(carrier_hz=self.carrier_hz, buffer_ms=self.buffer_ms,
-                             segment_ms=self.segment_ms)
+        return self._build(ism.IsmConfig)
 
     def trajectory_config(self) -> TrajectoryConfig:
-        return TrajectoryConfig(min_spacing_m=self.min_spacing_m,
-                                max_point_rate_hz=self.max_point_rate_hz,
-                                align_tolerance_ms=self.align_tolerance_ms)
+        return self._build(TrajectoryConfig)
 
     def norm(self) -> NormalizationConfig:
-        return NormalizationConfig(self.i_max)
+        return self._build(NormalizationConfig, i_max=1.0)
 
 
 def load_config_file(path) -> dict:
     """Parse `key value` lines; unknown keys are rejected with the offending line."""
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decoding(path, UsageError):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition(" ")
             value = value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             if not value:
                 raise UsageError(f"{path}:{lineno}: missing value for {key!r}")
             try:
-                out[key] = CONFIG_KEYS[key](value)
+                out[key] = SETTINGS[key][0](value)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return out
 
 
 def build_cli_config(args) -> CliConfig:
-    cfg = CliConfig()
-    if args.config:
-        file_values = load_config_file(args.config)
-        if "model" in file_values:
-            cfg.model_path = file_values["model"]
-        for key in ("i_max", "carrier_hz", "buffer_ms", "segment_ms", "endpoint",
-                    "min_spacing_m", "max_point_rate_hz", "align_tolerance_ms"):
-            if key in file_values:
-                setattr(cfg, key, file_values[key])
-    if cfg.endpoint is None:
-        cfg.endpoint = os.environ.get(ENDPOINT_ENV)
-    # flags override the file
-    for attr, flag in (("model_path", "model"), ("i_max", "imax"),
-                       ("carrier_hz", "carrier"), ("buffer_ms", "buffer_ms"),
-                       ("segment_ms", "segment_ms"), ("endpoint", "endpoint"),
-                       ("min_spacing_m", "min_spacing"),
-                       ("max_point_rate_hz", "max_rate")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
+    """Each setting from its flag, else the --config file, else (endpoint) ISMKIT_ENDPOINT."""
+    values = load_config_file(args.config) if args.config else {}
+    if ENDPOINT_ENV in os.environ:
+        values.setdefault("endpoint", os.environ[ENDPOINT_ENV])
+    flags = vars(args)
+    values.update((key, flags[dest]) for key, (_, dest, _, _) in SETTINGS.items()
+                  if flags.get(dest) is not None)
+    return CliConfig(values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,37 +122,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _analyze_input(waveform, model, config) -> tuple[ism.IntensityProfile, Waveform]:
-    """Analyze mono or 4-channel input; multichannel profiles are fused to their mean."""
-    if isinstance(waveform, MultiChannelWaveform):
-        results = [ism.analyze(ch, model, config) for ch in waveform.channels]
-        profile = ism.fuse_channels([r.profile for r in results])
-        lowfreq = results[0].lowfreq
-    else:
-        result = ism.analyze(waveform, model, config)
-        profile, lowfreq = result.profile, result.lowfreq
-    return profile, lowfreq
+def _channels(loaded: Waveform | MultiChannelWaveform) -> tuple[Waveform, ...]:
+    """A WAV's channels; a mono file is the one-channel case."""
+    return loaded.channels if isinstance(loaded, MultiChannelWaveform) else (loaded,)
 
 
 def cmd_analyze(args) -> int:
     cfg = build_cli_config(args)
     model = cfg.model()
-    loaded = load_wav(args.input)
-    profile, _ = _analyze_input(loaded, model, cfg.ism_config())
+    channels = _channels(load_wav(args.input))
+    config = cfg.ism_config()
+    # the mean of one profile is that profile, bit for bit
+    profile = ism.fuse_channels([ism.analyze(ch, model, config).profile for ch in channels])
     ism.save_profile_csv(profile, args.out)
     if args.session:
-        rate = loaded.sample_rate_hz
-        if isinstance(loaded, MultiChannelWaveform):
-            frames = np.stack([ch.samples for ch in loaded.channels], axis=1)
-            channels = 4
-        else:
-            frames = loaded.samples[:, None]
-            channels = 1
-        with sess.SessionWriter(args.session, rate, channels, cfg.segment_ms,
-                                model_id=cfg.model_path or "builtin") as writer:
-            writer.append_vibration(frames)
-            for t_s, value in zip(profile.midpoints_s(), profile.values):
-                writer.append_intensity(int(round(t_s * 1e6)), float(value))
+        sess.record(args.session,
+                    vibration=np.stack([ch.samples for ch in channels], axis=1),
+                    intensities=[(int(round(t_s * 1e6)), float(value)) for t_s, value
+                                 in zip(profile.midpoints_s(), profile.values)],
+                    sample_rate_hz=channels[0].sample_rate_hz,
+                    segment_ms=config.segment_ms, model_id=cfg.model_path or "builtin")
     print(f"analyzed segments={len(profile)} out={args.out}")
     return EXIT_OK
 
@@ -168,16 +150,10 @@ def cmd_convert(args) -> int:
     cfg = build_cli_config(args)
     model = cfg.model()
     config = cfg.ism_config()
-    loaded = load_wav(args.input)
-    if isinstance(loaded, MultiChannelWaveform):
-        converted = MultiChannelWaveform(tuple(
-            ism.convert(ch, model, config) for ch in loaded.channels))
-        n = len(converted)
-    else:
-        converted = ism.convert(loaded, model, config)
-        n = len(converted)
-    save_wav(converted, args.out, encoding=args.encoding)
-    print(f"converted samples={n} out={args.out}")
+    converted = tuple(ism.convert(ch, model, config) for ch in _channels(load_wav(args.input)))
+    save_wav(converted[0] if len(converted) == 1 else MultiChannelWaveform(converted),
+             args.out, encoding=args.encoding)
+    print(f"converted samples={len(converted[0])} out={args.out}")
     return EXIT_OK
 
 
@@ -211,15 +187,10 @@ def cmd_render(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     vibration, poses = simulate(scenario, seed=args.seed)
-    frames = np.stack([ch.samples for ch in vibration.channels], axis=1)
-    with sess.SessionWriter(args.out, scenario.sample_rate_hz, 4,
-                            model_id="simulated") as writer:
-        writer.append_vibration(frames)
-        for pose in poses:
-            writer.append_pose(pose)
-        writer.add_meta("scenario", str(args.scenario))
-        writer.add_meta("seed", str(args.seed))
-        summary = writer.close()
+    summary = sess.record(
+        args.out, vibration=np.stack([ch.samples for ch in vibration.channels], axis=1),
+        poses=poses, meta={"scenario": str(args.scenario), "seed": str(args.seed)},
+        sample_rate_hz=scenario.sample_rate_hz, model_id="simulated")
     print(f"simulated duration_s={summary['vibration_duration_s']:g} "
           f"poses={summary['poses']} out={args.out}")
     return EXIT_OK
@@ -251,28 +222,52 @@ def _message(t_us: int, pose: PoseSample | None, intensity: float,
                       rgb=map_color(normalize(intensity, norm)))
 
 
+def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None,
+            norm: NormalizationConfig, sink=None) -> float:
+    """Replay a session's (t_us, pose, intensity) events to sink and, given an
+    endpoint, over the wire after a Hello; returns the event loop's wall time.
+
+    Every intensity is checked before the sender connects, so a bad session
+    sends nothing. Unpaced replay is a bulk transfer and loses nothing; paced
+    replay is a live feed, where the oldest queued frames make way.
+    """
+    sender = None
+    if endpoint:
+        values = session.intensities[:, 1]
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise DataError("session intensities must be finite and non-negative")
+        sender = wire.FrameSender(
+            endpoint, policy="block" if math.isinf(clock.speed) else "drop-oldest")
+    try:
+        if sender is not None:
+            sender.send(_hello(session))
+        start_wall = time.monotonic()
+        for event in sess.replay_events(session, clock):
+            if sink is not None:
+                sink(event)
+            if sender is not None:
+                sender.send(_message(*event, norm))
+        wall_s = time.monotonic() - start_wall
+    except BaseException:
+        # a cut stream ends without End, so the peer does not take it for whole
+        if sender is not None:
+            sender.close(send_end=False)
+        raise
+    if sender is not None:
+        report = sender.close()
+        print(f"sent={report.sent} drops={report.drops}")
+        if report.error:
+            raise ProtocolError(f"stream aborted: {report.error}")
+    return wall_s
+
+
 def cmd_stream_send(args) -> int:
     cfg = build_cli_config(args)
     if not cfg.endpoint:
         raise UsageError("no endpoint given (flag --endpoint, config, or "
                          f"{ENDPOINT_ENV})")
     session = sess.Session.open(args.session)
-    norm = cfg.norm()
-    # Session.open checked the poses; with these intensities every message
-    # builds, so a bad session sends nothing
-    values = session.intensities[:, 1]
-    if not (np.isfinite(values) & (values >= 0)).all():
-        raise DataError("session intensities must be finite and non-negative")
-    events = sess.replay_events(session, sess.ReplayClock(speed=math.inf))
-    # bulk transfer of a recorded session is lossless; drop-oldest is for live feeds
-    sender = wire.FrameSender(cfg.endpoint, queue_capacity=args.queue, policy="block")
-    sender.send(_hello(session))
-    for event in events:
-        sender.send(_message(*event, norm))
-    report = sender.close()
-    print(f"sent={report.sent} drops={report.drops}")
-    if report.error:
-        raise ProtocolError(f"stream aborted: {report.error}")
+    _replay(session, sess.ReplayClock(speed=math.inf), cfg.endpoint, cfg.norm())
     return EXIT_OK
 
 
@@ -311,40 +306,18 @@ def cmd_stream_recv(args) -> int:
 def cmd_replay(args) -> int:
     cfg = build_cli_config(args)
     session = sess.Session.open(args.session)
-    clock = sess.ReplayClock(speed=args.speed)
-
-    sender = None
-    norm = cfg.norm()
-    if args.endpoint or (cfg.endpoint and args.to_wire):
-        # unpaced replay is a bulk transfer and lossless, as stream-send is;
-        # paced replay is a live feed, where stale frames make way
-        policy = "block" if math.isinf(args.speed) else "drop-oldest"
-        sender = wire.FrameSender(args.endpoint or cfg.endpoint, policy=policy)
-        sender.send(_hello(session))
-
-    poses_out: list[PoseSample] = []
-    times_s: list[float] = []
-    values: list[float] = []
-    start_wall = time.monotonic()
-    for t_us, pose, intensity in sess.replay_events(session, clock):
-        if pose is not None:
-            poses_out.append(pose)
-        else:
-            times_s.append(t_us / 1e6)
-            values.append(intensity)
-        if sender is not None:
-            sender.send(_message(t_us, pose, intensity, norm))
-    wall_s = time.monotonic() - start_wall
-    if sender is not None:
-        sender_report = sender.close()
-        print(f"sent={sender_report.sent} drops={sender_report.drops}")
-        if sender_report.error:
-            raise ProtocolError(f"replay stream aborted: {sender_report.error}")
+    endpoint = cfg.endpoint if args.endpoint or args.to_wire else None
+    events: list[tuple] = []
+    wall_s = _replay(session, sess.ReplayClock(speed=args.speed), endpoint, cfg.norm(),
+                     events.append)
+    poses = [pose for _, pose, _ in events if pose is not None]
+    times_s = [t_us / 1e6 for t_us, pose, _ in events if pose is None]
+    values = [value for _, pose, value in events if pose is None]
     if args.pose_csv:
-        save_pose_csv(poses_out, args.pose_csv)
+        save_pose_csv(poses, args.pose_csv)
     if args.intensity_csv:
         ism.save_intensity_csv(times_s, values, args.intensity_csv)
-    print(f"replayed poses={len(poses_out)} intensities={len(values)} "
+    print(f"replayed poses={len(poses)} intensities={len(values)} "
           f"wall_s={wall_s:.3f}")
     return EXIT_OK
 
@@ -358,15 +331,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, endpoint=False):
-        p.add_argument("--model", help="psychophysical model file")
-        p.add_argument("--imax", type=float, help="normalization maximum intensity")
-        p.add_argument("--carrier", type=float, help="carrier frequency Hz")
-        p.add_argument("--buffer-ms", dest="buffer_ms", type=float)
-        p.add_argument("--segment-ms", dest="segment_ms", type=float)
-        p.add_argument("--min-spacing", dest="min_spacing", type=float)
-        p.add_argument("--max-rate", dest="max_rate", type=float)
-        if endpoint:
-            p.add_argument("--endpoint", help="host:port")
+        for key, (kind, dest, help_text, _) in SETTINGS.items():
+            if dest and (endpoint or key != "endpoint"):
+                p.add_argument("--" + dest.replace("_", "-"), type=kind, help=help_text)
 
     p = sub.add_parser("analyze", help="WAV to intensity profile CSV")
     p.add_argument("input")
@@ -403,7 +370,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stream-send", help="send a session over the wire")
     p.add_argument("session")
-    p.add_argument("--queue", type=int, default=256)
     common(p, endpoint=True)
     p.set_defaults(func=cmd_stream_send)
 

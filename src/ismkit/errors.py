@@ -5,6 +5,8 @@ matters at module boundaries: bad input data is not the same failure as a
 broken socket.
 """
 
+from contextlib import contextmanager
+
 
 class IsmkitError(Exception):
     """Base class for all package errors."""
@@ -24,3 +26,12 @@ class ProtocolError(IsmkitError):
 
 class UsageError(IsmkitError):
     """Command line or configuration misuse."""
+
+
+@contextmanager
+def decoding(path, error: type[IsmkitError] = FileFormatError):
+    """Report text in `path` that fails to decode as `error`, naming the path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not {exc.encoding} text ({exc.reason})") from None

@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import psychophysics as psy
 from .emd import EmdConfig, emd_decompose_rows, _component_arrays
-from .errors import DataError, FileFormatError
+from .errors import DataError, FileFormatError, decoding
 from .signal import (SEGMENT_MS, SegmentGrid, Waveform, lowpass_sos, segment,
                      segment_length)
 
@@ -421,7 +421,7 @@ def load_profile_csv(path) -> IntensityProfile:
     """Read a profile CSV back; segment duration is inferred from row spacing."""
     times: list[float] = []
     values: list[float] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["t_s", "intensity"]:

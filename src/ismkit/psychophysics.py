@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError, FileFormatError
+from .errors import DataError, FileFormatError, decoding
 
 
 def _as_points(points: Iterable[tuple[float, float]], what: str) -> np.ndarray:
@@ -117,7 +117,7 @@ def load_model(path) -> PsychoModel:
     """Parse a model file of `threshold f a_t` and `exponent f alpha` lines."""
     thresholds: list[tuple[float, float]] = []
     exponents: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decoding(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

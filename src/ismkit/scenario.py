@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from .errors import DataError, FileFormatError
+from .errors import DataError, FileFormatError, decoding
 from .signal import MultiChannelWaveform, Waveform
 from .trajectory import PoseSample
 
@@ -87,7 +87,7 @@ def load_scenario(path) -> SyntheticScenario:
     band: tuple[float, float] | None = None
     impacts: list[Impact] = []
     waypoints: list[Waypoint] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decoding(path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

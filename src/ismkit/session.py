@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FileFormatError
+from .errors import DataError, FileFormatError, decoding
 from .trajectory import PoseSample, poses_from_arrays
 
 MAGIC = b"ISMS"
@@ -227,7 +227,7 @@ class Session:
 
     @classmethod
     def open(cls, path) -> "Session":
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, decoding(path):
             head = fh.read(_HEADER.size)
             if len(head) < _HEADER.size:
                 raise FileFormatError(f"{path}: truncated header")
@@ -239,6 +239,7 @@ class Session:
             ident = fh.read(ident_len)
             if len(ident) < ident_len:
                 raise FileFormatError(f"{path}: truncated model identifier")
+            model_id = ident.decode("utf-8")
 
             vib_parts: list[np.ndarray] = []
             poses: list[PoseSample] = []
@@ -285,7 +286,7 @@ class Session:
                      else np.zeros((0, channels), dtype=np.float32))
         intensities = np.concatenate(ints) if ints else np.zeros((0, 2))
         return cls(sample_rate_hz=rate, channels=channels, segment_ms=segment_ms,
-                   model_id=ident.decode("utf-8"), vibration=vibration, poses=poses,
+                   model_id=model_id, vibration=vibration, poses=poses,
                    intensities=intensities, meta=meta, extra_chunks=extra)
 
     def save(self, path) -> None:

@@ -89,23 +89,15 @@ def segment_length(segment_ms: float, sample_rate_hz: float) -> int:
     return seg_len
 
 
-def segment(waveform: Waveform | int, segment_ms: float = SEGMENT_MS,
-            sample_rate_hz: float | None = None) -> SegmentGrid:
-    """Build the segment grid for a waveform (or an explicit sample count).
+def segment(waveform: Waveform, segment_ms: float = SEGMENT_MS) -> SegmentGrid:
+    """Build the segment grid for a waveform.
 
     The window length is segment_length(segment_ms, rate); whatever does
     not fill a final full window is discarded rather than zero-padded, so the
     intensity profile never shows an artificial dip at the end of a stream.
     """
-    if isinstance(waveform, Waveform):
-        n = len(waveform)
-        rate = waveform.sample_rate_hz
-    else:
-        n = int(waveform)
-        if sample_rate_hz is None:
-            raise DataError("sample_rate_hz required when passing a raw length")
-        rate = float(sample_rate_hz)
-    seg_len = segment_length(segment_ms, rate)
+    n = len(waveform)
+    seg_len = segment_length(segment_ms, waveform.sample_rate_hz)
     if n < seg_len:
         raise DataError(f"signal of {n} samples is shorter than one {seg_len}-sample segment")
     return SegmentGrid(segment_len_samples=seg_len,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
-from .errors import DataError, FileFormatError
+from .errors import DataError, FileFormatError, decoding
 from .ism import IntensityProfile
 
 QUAT_NORM_TOL = 1e-6
@@ -303,7 +303,7 @@ def export_ply(points: list[TrajectoryPoint], path) -> None:
 
 def load_ply(path) -> tuple[np.ndarray, np.ndarray]:
     """Read back an ASCII PLY written by export_ply: (positions Nx3, colors Nx3)."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, decoding(path):
         line = fh.readline().strip()
         if line != "ply":
             raise FileFormatError(f"{path}: not a PLY file")
@@ -314,19 +314,25 @@ def load_ply(path) -> tuple[np.ndarray, np.ndarray]:
                 raise FileFormatError(f"{path}: header never ends")
             line = line.strip()
             if line.startswith("element vertex"):
-                n = int(line.split()[-1])
+                n = line.split()[-1]
             if line == "end_header":
                 break
         if n is None:
             raise FileFormatError(f"{path}: no vertex element")
-        pos = np.zeros((n, 3))
-        rgb = np.zeros((n, 3), dtype=np.int64)
-        for i in range(n):
+        try:
+            pos = np.zeros((int(n), 3))
+        except ValueError:
+            raise FileFormatError(f"{path}: bad vertex count {n!r}") from None
+        rgb = np.zeros(pos.shape, dtype=np.int64)
+        for i in range(len(pos)):
             parts = fh.readline().split()
             if len(parts) < 6:
                 raise FileFormatError(f"{path}: truncated vertex list at row {i}")
-            pos[i] = [float(v) for v in parts[:3]]
-            rgb[i] = [int(v) for v in parts[3:6]]
+            try:
+                pos[i] = [float(v) for v in parts[:3]]
+                rgb[i] = [int(v) for v in parts[3:6]]
+            except (ValueError, OverflowError):
+                raise FileFormatError(f"{path}: bad number in vertex row {i}") from None
     return pos, rgb
 
 
@@ -343,7 +349,7 @@ def save_pose_csv(poses: list[PoseSample], path) -> None:
 def load_pose_csv(path) -> list[PoseSample]:
     """Read `t_us,px,py,pz,qw,qx,qy,qz` rows into pose samples."""
     poses: list[PoseSample] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = ["t_us", "px", "py", "pz", "qw", "qx", "qy", "qz"]
@@ -372,7 +378,7 @@ def save_calibration(calibration: ToolCalibration, residual_rms: float, path) ->
 
 
 def load_calibration(path) -> ToolCalibration:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decoding(path):
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if parts and parts[0] == "tip_offset":

@@ -1,15 +1,16 @@
+import struct
 import threading
 
 import numpy as np
 import pytest
 
 from ismkit import ism
-from ismkit.cli import main
-from ismkit.psychophysics import save_model, threshold_at
-from ismkit.session import Session
+from ismkit.cli import build_cli_config, build_parser, main
+from ismkit.psychophysics import DEFAULT_MODEL, save_model, threshold_at
+from ismkit.session import Session, record
 from ismkit.signal import MultiChannelWaveform, Waveform
 from ismkit.trajectory import PoseSample, load_ply, save_pose_csv
-from ismkit.wavio import save_wav
+from ismkit.wavio import load_wav, save_wav
 
 FS = 5000.0
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -44,6 +45,16 @@ def _model_file(tmp_path, u_model):
     path = tmp_path / "model.txt"
     save_model(u_model, path)
     return str(path)
+
+
+def _noise_wav(path, n_channels, seed=3):
+    """A 0.5 s noise WAV, mono or 4-channel, with a different level per channel."""
+    rng = np.random.default_rng(seed)
+    channels = tuple(Waveform((c + 1) * rng.standard_normal(2500), FS)
+                     for c in range(n_channels))
+    save_wav(channels[0] if n_channels == 1 else MultiChannelWaveform(channels), path)
+    loaded = load_wav(path)
+    return loaded.channels if n_channels == 4 else (loaded,)
 
 
 class TestAnalyze:
@@ -128,6 +139,31 @@ class TestAnalyze:
         assert session.vibration.shape == (5000, 1)
         assert session.intensities.shape[0] == 200
 
+    def test_four_channel_session_holds_the_frames_and_the_fused_profile(self, tmp_path):
+        wav = tmp_path / "quad.wav"
+        channels = _noise_wav(wav, 4)
+        session_path = tmp_path / "quad.isms"
+        assert main(["analyze", str(wav), "--out", str(tmp_path / "p.csv"),
+                     "--session", str(session_path)]) == 0
+        session = Session.open(session_path)
+        assert (session.channels, session.sample_rate_hz, session.segment_ms,
+                session.model_id) == (4, FS, 5.0, "builtin")
+        frames = np.stack([ch.samples for ch in channels], axis=1).astype(np.float32)
+        assert session.vibration.dtype == np.float32
+        assert np.array_equal(session.vibration, frames)
+        profile = ism.fuse_channels([ism.analyze(ch, DEFAULT_MODEL).profile for ch in channels])
+        assert np.array_equal(session.intensities[:, 0], np.round(profile.midpoints_s() * 1e6))
+        assert np.array_equal(session.intensities[:, 1], profile.values.astype(np.float32))
+
+    def test_mono_profile_is_the_library_profile(self, tmp_path):
+        wav = tmp_path / "mono.wav"
+        (channel,) = _noise_wav(wav, 1)
+        out = tmp_path / "p.csv"
+        assert main(["analyze", str(wav), "--out", str(out)]) == 0
+        expected = tmp_path / "expected.csv"
+        ism.save_profile_csv(ism.analyze(channel, DEFAULT_MODEL).profile, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestConvert:
     def test_silence(self, tmp_path):
@@ -143,6 +179,19 @@ class TestConvert:
                      str(tmp_path / "out.wav")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error[io]:")
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    def test_each_channel_is_the_library_conversion(self, tmp_path, n_channels, encoding):
+        wav = tmp_path / "in.wav"
+        channels = _noise_wav(wav, n_channels)
+        out = tmp_path / "out.wav"
+        assert main(["convert", str(wav), str(out), "--encoding", encoding]) == 0
+        converted = tuple(ism.convert(ch, DEFAULT_MODEL) for ch in channels)
+        expected = tmp_path / "expected.wav"
+        save_wav(converted[0] if n_channels == 1 else MultiChannelWaveform(converted),
+                 expected, encoding=encoding)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 class TestRender:
@@ -524,3 +573,132 @@ class TestComposition:
         mask[:20] = mask[-20:] = False
         rel = np.abs(v2[mask] - v1[mask]) / v1[mask]
         assert np.median(rel) <= 0.05
+
+
+def _settings(cfg) -> dict:
+    """Every setting as the commands see it, by config key."""
+    ism_config, trajectory_config = cfg.ism_config(), cfg.trajectory_config()
+    return {"model": cfg.model_path, "i_max": cfg.norm().i_max,
+            "carrier_hz": ism_config.carrier_hz, "buffer_ms": ism_config.buffer_ms,
+            "segment_ms": ism_config.segment_ms, "endpoint": cfg.endpoint,
+            "min_spacing_m": trajectory_config.min_spacing_m,
+            "max_point_rate_hz": trajectory_config.max_point_rate_hz,
+            "align_tolerance_ms": trajectory_config.align_tolerance_ms}
+
+
+class TestSettings:
+    FILE = {"model": "file_model.txt", "i_max": 2.5, "carrier_hz": 180.0, "buffer_ms": 120.0,
+            "segment_ms": 6.0, "endpoint": "127.0.0.1:1001", "min_spacing_m": 0.003,
+            "max_point_rate_hz": 150.0, "align_tolerance_ms": 30.0}
+    FLAGS = {"--model": "flag_model.txt", "--imax": "3.5", "--carrier": "190",
+             "--buffer-ms": "90", "--segment-ms": "3", "--endpoint": "127.0.0.1:1002",
+             "--min-spacing": "0.004", "--max-rate": "120"}
+
+    def _resolve(self, tmp_path, *argv):
+        config = tmp_path / "config.txt"
+        config.write_text("".join(f"{k} {v}\n" for k, v in self.FILE.items()))
+        args = build_parser().parse_args(
+            [arg.replace("CONFIG", str(config)) for arg in argv])
+        return _settings(build_cli_config(args))
+
+    def test_each_key_sets_its_field_from_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ISMKIT_ENDPOINT", "127.0.0.1:1003")
+        assert self._resolve(tmp_path, "--config", "CONFIG", "replay", "s.isms") == self.FILE
+
+    def test_flag_beats_file(self, tmp_path):
+        flags = [part for item in self.FLAGS.items() for part in item]
+        got = self._resolve(tmp_path, "--config", "CONFIG", "replay", "s.isms", *flags)
+        # align_tolerance_ms has no flag, so the file's value stands
+        assert got == {"model": "flag_model.txt", "i_max": 3.5, "carrier_hz": 190.0,
+                       "buffer_ms": 90.0, "segment_ms": 3.0, "endpoint": "127.0.0.1:1002",
+                       "min_spacing_m": 0.004, "max_point_rate_hz": 120.0,
+                       "align_tolerance_ms": 30.0}
+
+    def test_environment_endpoint_when_neither_gives_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ISMKIT_ENDPOINT", "127.0.0.1:1003")
+        assert self._resolve(tmp_path, "replay", "s.isms") == {
+            "model": None, "i_max": 1.0, "carrier_hz": 200.0, "buffer_ms": 100.0,
+            "segment_ms": 5.0, "endpoint": "127.0.0.1:1003", "min_spacing_m": 0.002,
+            "max_point_rate_hz": 200.0, "align_tolerance_ms": 20.0}
+
+
+NOT_UTF8 = b"\xff\xfe\x80 not text\n"
+
+
+def _undecodable_case(tmp_path, case):
+    """argv for a command whose `case` input holds bytes that are not UTF-8, and that input."""
+    poses = tmp_path / "poses.csv"
+    save_pose_csv([PoseSample(i * 10_000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                   for i in range(20)], poses)
+    profile = tmp_path / "profile.csv"
+    ism.save_profile_csv(ism.IntensityProfile(np.full(100, 0.5)), profile)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    out = ["--out", str(tmp_path / "out")]
+    if case in ("replay", "stream-send"):
+        bad = tmp_path / "bad_meta.isms"
+        record(bad, intensities=[(0, 1.0)], channels=1)
+        with open(bad, "ab") as fh:
+            fh.write(b"META" + struct.pack("<I", len(NOT_UTF8)) + NOT_UTF8)
+    elif case == "render-model-id":
+        bad = tmp_path / "bad_id.isms"
+        bad.write_bytes(struct.pack("<4sHdBdH", b"ISMS", 1, FS, 1, 5.0, 2) + b"\xc3\x28")
+    wav = tmp_path / "w.wav"
+    save_wav(Waveform(np.zeros(500), FS), wav)
+    return {
+        "calibrate": ["calibrate", str(bad), *out],
+        "render-poses": ["render", str(bad), "--profile", str(profile), *out],
+        "simulate": ["simulate", str(bad), *out],
+        "render-profile": ["render", str(poses), "--profile", str(bad), *out],
+        "analyze-model": ["analyze", str(wav), "--model", str(bad), *out],
+        "render-calibration": ["render", str(poses), "--profile", str(profile),
+                               "--calibration", str(bad), *out],
+        "replay": ["replay", str(bad), "--speed", "inf"],
+        "render-model-id": ["render", str(bad), *out],
+        "stream-send": ["stream-send", str(bad), "--endpoint", "127.0.0.1:9"],
+        "config": ["--config", str(bad), "analyze", str(wav), *out],
+    }[case], bad
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("case", ["calibrate", "render-poses", "simulate", "render-profile",
+                                      "analyze-model", "render-calibration", "replay",
+                                      "render-model-id", "stream-send", "config"])
+    def test_exits_with_its_documented_code(self, tmp_path, capsys, case):
+        argv, bad = _undecodable_case(tmp_path, case)
+        code = main(argv)
+        err = capsys.readouterr().err
+        kind, expected = ("usage", 1) if case == "config" else ("data", 2)
+        assert code == expected
+        assert err.startswith(f"error[{kind}]: {bad}: not utf-8 text")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestReplayOfBadSession:
+    @pytest.mark.parametrize("pose_follows", [False, True])
+    def test_replay_endpoint_sends_nothing(self, tmp_path, capsys, pose_follows):
+        import gc
+        import socket
+        import warnings
+        poses = [PoseSample(i * 1000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                 for i in range(20)]
+        # the bad value sits just before a pose, or after every other event
+        ints = [(i * 1000 + 500, -1.0 if pose_follows and i == 3 else 0.5) for i in range(20)]
+        if not pose_follows:
+            ints.append((10 ** 6, -1.0))
+        src = tmp_path / "bad.isms"
+        record(src, poses=poses, intensities=ints, channels=1)
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        server.settimeout(0.5)
+        endpoint = f"127.0.0.1:{server.getsockname()[1]}"
+        with server, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["replay", str(src), "--speed", "inf", "--endpoint", endpoint])
+            gc.collect()
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error[data]:")
+            with pytest.raises(socket.timeout):
+                server.accept()[0].close()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

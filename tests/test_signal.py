@@ -61,7 +61,7 @@ class TestSegment:
         seg_len = int(round(0.005 * rate))
         if n < seg_len:
             return
-        grid = segment(n, sample_rate_hz=rate)
+        grid = segment(Waveform(np.zeros(n), rate))
         assert grid.segment_count * grid.segment_len_samples <= n
         assert n < (grid.segment_count + 1) * grid.segment_len_samples
 

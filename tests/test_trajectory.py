@@ -509,6 +509,17 @@ class TestPlyExport:
         with pytest.raises(DataError):
             export_ply([], tmp_path / "empty.ply")
 
+    @pytest.mark.parametrize("count,row", [
+        ("two", b"0 0 0 1 2 3"), ("-1", b"0 0 0 1 2 3"), ("", b"0 0 0 1 2 3"),
+        ("1", b"0 0 x 1 2 3"), ("1", b"0 0 0 1 2.5 3"), ("1", b"0 0 0 1 2 \xff"),
+    ])
+    def test_malformed_number_is_a_format_error(self, tmp_path, count, row):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex " + count.encode()
+                         + b"\nend_header\n" + row + b"\n")
+        with pytest.raises(FileFormatError, match="bad.ply"):
+            load_ply(path)
+
 
 class TestPoseCsv:
     def test_round_trip(self, tmp_path):
