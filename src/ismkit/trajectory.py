@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -320,20 +321,24 @@ def load_ply(path) -> tuple[np.ndarray, np.ndarray]:
         if n is None:
             raise FileFormatError(f"{path}: no vertex element")
         try:
-            pos = np.zeros((int(n), 3))
+            count = int(n)
         except ValueError:
-            raise FileFormatError(f"{path}: bad vertex count {n!r}") from None
-        rgb = np.zeros(pos.shape, dtype=np.int64)
-        for i in range(len(pos)):
+            count = -1
+        if count < 0:
+            raise FileFormatError(f"{path}: bad vertex count {n!r}")
+        # rows are kept as they are read, so the file, not the count it
+        # declares, bounds the memory taken
+        pos, rgb = array("d"), array("q")
+        for i in range(count):
             parts = fh.readline().split()
             if len(parts) < 6:
                 raise FileFormatError(f"{path}: truncated vertex list at row {i}")
             try:
-                pos[i] = [float(v) for v in parts[:3]]
-                rgb[i] = [int(v) for v in parts[3:6]]
+                pos.extend([float(v) for v in parts[:3]])
+                rgb.extend([int(v) for v in parts[3:6]])
             except (ValueError, OverflowError):
                 raise FileFormatError(f"{path}: bad number in vertex row {i}") from None
-    return pos, rgb
+    return np.array(pos).reshape(-1, 3), np.array(rgb, dtype=np.int64).reshape(-1, 3)
 
 
 def save_pose_csv(poses: list[PoseSample], path) -> None:

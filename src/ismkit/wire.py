@@ -13,9 +13,11 @@ The decoder never raises on arbitrary bytes: it reports need-more-bytes, a
 message, or an error, and always makes progress once a non-decodable prefix
 is present. Desync recovery scans forward to the next magic. `Decoder.feed`
 parses its pending buffer by offset and compacts it once per feed, so a feed
-costs time linear in its bytes however many messages it holds. A decoded
-float is already float32, and an integer already in its field's range, so
-a decoded message is only checked for finite values. A constructed
+costs time linear in its bytes however many messages it holds. A whole
+Frame or IntensityOnly right where the last message ended, with its magic,
+declared length and finite floats, is decoded with one unpack of header and
+payload; anything else takes the general step, which builds data messages
+through their constructors, so an error names the field. A constructed
 `Frame` or `IntensityOnly` is checked by packing its fields once; only when
 that fails are the fields checked one by one, to name the bad one. Both are
 slotted, without a `__dict__`, so each message is one object for the
@@ -23,10 +25,12 @@ cyclic garbage collector to track.
 
 The sender runs a bounded queue with drop-oldest backpressure: when a live
 consumer lags, stale frames are discarded (and counted) rather than delaying
-fresh ones; control messages (Hello/End) are never dropped. Its writer thread
-takes everything queued at once and writes it with one `sendall`, so at most
-one queue's worth is in flight beyond the kernel's socket buffer, out of
-reach of drop-oldest; `sent` counts the messages of written batches.
+fresh ones; control messages (Hello/End) are never dropped. `send` encodes
+on the caller's thread, refusing a non-message there, and queues the bytes
+beside the message. The writer thread takes everything queued at once and
+writes the joined bytes with one `sendall`, so at most one queue's worth is
+in flight beyond the kernel's socket buffer, out of reach of drop-oldest;
+`sent` counts the messages of written batches. A closed sender refuses sends.
 """
 
 from __future__ import annotations
@@ -255,24 +259,12 @@ def _decode_at(buf: bytes | bytearray, off: int
     consumed = skipped + HEADER_SIZE + expected
     start = idx + HEADER_SIZE
 
-    # the layout bounds every field but the floats: a message whose floats are
-    # finite is built unchecked, and any other goes to its constructor, whose
-    # error names the field
+    # data messages go to their constructors, whose errors name the field
     if msg_type == TYPE_FRAME:
         f = _FRAME.unpack_from(buf, start)
-        # float32 values cannot overflow a float64 sum: it is finite iff all are
-        if math.isfinite(sum(f[1:9])):
-            message = _new(Frame)
-            _fill_frame(message, f)
-            return message, consumed, skipped, None
         build, args = Frame, (f[0], f[1:4], f[4:8], f[8], f[9:12])
     elif msg_type == TYPE_INTENSITY:
-        t_us, intensity = _INTENSITY.unpack_from(buf, start)
-        if math.isfinite(intensity):
-            message = _new(IntensityOnly)
-            _fill_intensity(message, t_us, intensity)
-            return message, consumed, skipped, None
-        build, args = IntensityOnly, (t_us, intensity)
+        build, args = IntensityOnly, _INTENSITY.unpack_from(buf, start)
     elif msg_type == TYPE_HELLO:
         version, channels, rate, seg = _HELLO.unpack_from(buf, start)
         if version != PROTOCOL_VERSION:
@@ -313,8 +305,32 @@ class Decoder:
         buf = self._buf
         buf.extend(data)
         messages: list[WireMessage] = []
-        off = 0
+        off, end = 0, len(buf)
         while True:
+            # clean data messages back to back, one unpack each: the layout
+            # bounds every field but the floats, and float32 values cannot
+            # overflow a float64 sum, so it is finite iff all of them are
+            while end - off >= _INTENSITY_MSG.size:
+                msg_type = buf[off + 4]
+                if msg_type == TYPE_FRAME and end - off >= _FRAME_MSG.size:
+                    f = _FRAME_MSG.unpack_from(buf, off)
+                    if (f[0] != MAGIC or f[2] != _FRAME.size
+                            or not math.isfinite(sum(f[4:12]))):
+                        break
+                    message = _new(Frame)
+                    _fill_frame(message, f[3:])
+                    off += _FRAME_MSG.size
+                elif msg_type == TYPE_INTENSITY:
+                    magic, _, payload_len, t_us, intensity = _INTENSITY_MSG.unpack_from(buf, off)
+                    if (magic != MAGIC or payload_len != _INTENSITY.size
+                            or not math.isfinite(intensity)):
+                        break
+                    message = _new(IntensityOnly)
+                    _fill_intensity(message, t_us, intensity)
+                    off += _INTENSITY_MSG.size
+                else:
+                    break
+                messages.append(message)
             message, consumed, skipped, error = _decode_at(buf, off)
             off += consumed
             self.resync_bytes += skipped
@@ -374,6 +390,7 @@ class FrameSender:
         self._policy = policy
         self._connect_timeout = connect_timeout
         self._queue: deque[WireMessage] = deque()
+        self._encoded: deque[bytes] = deque()  # the bytes of each queued message
         self._n_droppable = 0  # capacity bounds frames; control messages ride along
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -397,17 +414,24 @@ class FrameSender:
         self._thread.start()
 
     def send(self, message: WireMessage) -> None:
+        """Queue a message; DataError if it is not one, ProtocolError once closed."""
+        data = encode(message)
         with self._lock:
+            if self._closing:
+                raise ProtocolError("send on a closed sender")
             if _droppable(message):
                 if self._n_droppable >= self._capacity:
                     if self._policy == "block" and self._thread is not None:
                         while (self._n_droppable >= self._capacity
                                and self.error is None and not self._closing):
                             self._wake.wait()
+                        if self._closing:
+                            raise ProtocolError("send on a closed sender")
                     else:
                         for i, queued in enumerate(self._queue):
                             if _droppable(queued):
                                 del self._queue[i]
+                                del self._encoded[i]
                                 self._n_droppable -= 1
                                 self.drops += 1
                                 break
@@ -417,6 +441,7 @@ class FrameSender:
                 # producers blocked on a full one wait for the writer instead
                 self._wake.notify_all()
             self._queue.append(message)
+            self._encoded.append(data)
 
     def _drain(self) -> None:
         while True:
@@ -425,25 +450,30 @@ class FrameSender:
                     self._wake.wait()
                 if not self._queue:
                     return
-                batch, self._queue = self._queue, deque()
+                batch, self._encoded = self._encoded, deque()
+                self._queue.clear()
                 self._n_droppable = 0
                 self._wake.notify_all()
-            data = b"".join(map(encode, batch))
             try:
-                self._sock.sendall(data)
+                self._sock.sendall(b"".join(batch))
             except OSError as exc:
                 with self._lock:
                     self.error = str(exc)
                     self._queue.clear()
+                    self._encoded.clear()
                     self._wake.notify_all()
                 return
             self.sent += len(batch)
 
     def close(self, send_end: bool = True, timeout: float = 10.0) -> SenderReport:
-        """Flush the queue (optionally appending End), stop the writer, report."""
-        if send_end and self._sock is not None and self.error is None:
-            self.send(End())
+        """Flush the queue (optionally appending End), stop the writer, report.
+
+        A second close only reports.
+        """
         with self._lock:
+            if send_end and not self._closing and self._sock is not None and self.error is None:
+                self._queue.append(End())
+                self._encoded.append(_END_MSG)
             self._closing = True
             self._wake.notify_all()
         if self._thread is not None:

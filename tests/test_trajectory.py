@@ -512,12 +512,22 @@ class TestPlyExport:
     @pytest.mark.parametrize("count,row", [
         ("two", b"0 0 0 1 2 3"), ("-1", b"0 0 0 1 2 3"), ("", b"0 0 0 1 2 3"),
         ("1", b"0 0 x 1 2 3"), ("1", b"0 0 0 1 2.5 3"), ("1", b"0 0 0 1 2 \xff"),
+        ("1", b"0 0 0 1 2 " + str(2 ** 70).encode()),
     ])
     def test_malformed_number_is_a_format_error(self, tmp_path, count, row):
         path = tmp_path / "bad.ply"
         path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex " + count.encode()
                          + b"\nend_header\n" + row + b"\n")
         with pytest.raises(FileFormatError, match="bad.ply"):
+            load_ply(path)
+
+    @pytest.mark.parametrize("count", ["2", "1000000000000"])
+    def test_declared_count_beyond_the_rows_is_a_format_error(self, tmp_path, count):
+        """Rows are read as they come: a huge declared count allocates nothing up front."""
+        path = tmp_path / "short.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex " + count.encode()
+                         + b"\nend_header\n0 0 0 1 2 3\n")
+        with pytest.raises(FileFormatError, match="short.ply: truncated vertex list at row 1"):
             load_ply(path)
 
 

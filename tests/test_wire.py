@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ismkit.errors import DataError, IsmkitError, ProtocolError
 from ismkit.wire import (Decoder, End, Frame, FrameSender, Hello, IntensityOnly,
-                         Listener, SenderReport, decode, encode, parse_endpoint)
+                         Listener, SenderReport, _decode_at, decode, encode, parse_endpoint)
 
 from .reference_wire import reference_frame_fields, reference_intensity_fields
 
@@ -328,7 +329,75 @@ def _frame_stream(n: int) -> bytes:
                                  (i % 256, 2, 3))) for i in range(n))
 
 
+def _with_f32(data: bytes, at: int, value: float) -> bytes:
+    return data[:at] + struct.pack("<f", value) + data[at + 4:]
+
+
+# a finite float32 whose bytes are the magic: a Frame carrying it holds a
+# false start inside its payload
+MAGIC_F32 = struct.unpack("<f", b"ISMP")[0]
+data_messages = st.one_of(frames, intensities)
+stream_parts = st.one_of(
+    data_messages.map(encode),
+    messages.map(encode),
+    st.binary(max_size=24),
+    st.sampled_from([b"ISMP", b"ISM", b"IS", b"I"]),
+    # a message whose magic has one byte wrong
+    st.tuples(messages.map(encode), st.integers(0, 3), st.integers(1, 255)).map(
+        lambda a: a[0][:a[1]] + bytes([a[0][a[1]] ^ a[2]]) + a[0][a[1] + 1:]),
+    frames.map(lambda m: encode(replace(m, position=(MAGIC_F32, *m.position[1:])))),
+    # a non-finite float in any float field
+    st.tuples(data_messages, st.integers(0, 7),
+              st.sampled_from([float("nan"), float("inf"), -float("inf")])).map(
+        lambda a: _with_f32(encode(a[0]), 17 + 4 * (a[1] % (8 if isinstance(a[0], Frame)
+                                                             else 1)), a[2])),
+    # a known type declaring the wrong length
+    st.tuples(messages.map(encode), st.integers(0, 80)).filter(
+        lambda a: a[1] != len(a[0]) - 9).map(
+        lambda a: a[0][:5] + struct.pack("<I", a[1]) + a[0][9:]),
+    # an unknown type, with its payload or with one too long to skip
+    st.tuples(st.sampled_from([0, 5, 77, 255]), st.binary(max_size=16)).map(
+        lambda a: b"ISMP" + bytes([a[0]]) + struct.pack("<I", len(a[1])) + a[1]),
+    st.just(b"ISMP" + bytes([9]) + struct.pack("<I", 70_000)),
+    # a message cut short
+    st.tuples(messages.map(encode), st.integers(1, 53)).map(
+        lambda a: a[0][:min(a[1], len(a[0]) - 1)]),
+)
+
+
+def _per_message_loop(blob: bytes):
+    """Messages, errors, resync bytes and bytes left of one _decode_at step per message."""
+    buf = bytearray(blob)
+    got, errors, resync, off = [], Counter(), 0, 0
+    while True:
+        message, consumed, skipped, error = _decode_at(buf, off)
+        off += consumed
+        resync += skipped
+        if error is not None:
+            errors[error] += 1
+        if message is not None:
+            got.append(message)
+        elif consumed == 0:
+            return got, errors, resync, len(buf) - off
+
+
 class TestDecoderOffsets:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(stream_parts, max_size=40), data=st.data())
+    def test_feed_decodes_like_one_step_per_message(self, parts, data):
+        blob = b"".join(parts)
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(blob)), max_size=12))))
+        decoder = Decoder()
+        got = []
+        for start, stop in zip([0, *cuts], [*cuts, len(blob)]):
+            got.extend(decoder.feed(blob[start:stop]))
+        expected, errors, resync, pending = _per_message_loop(blob)
+        assert got == expected
+        assert [type(m) for m in got] == [type(m) for m in expected]
+        assert decoder.errors == errors
+        assert decoder.resync_bytes == resync
+        assert decoder.pending() == pending
+
     def test_uneven_chunks_decode_like_one_feed(self):
         rng = np.random.default_rng(5)
         parts = []
@@ -602,6 +671,99 @@ class TestSenderQueue:
             sender.send(_frame_of(i))
         assert wakes == [0]
         sender.close()
+
+    def test_send_of_a_non_message_raises_data_error(self):
+        sender = FrameSender(queue_capacity=4, policy="block")
+        for bad in (object(), None, b"ISMP", (1, 2)):
+            with pytest.raises(DataError, match="not a wire message"):
+                sender.send(bad)
+        assert not sender._queue
+        sender.close()
+
+    def test_send_after_close_raises_protocol_error(self):
+        sender = FrameSender()
+        assert sender.close() == SenderReport(sent=0, drops=0)
+        for message in (_frame_of(1), Hello(4, 5000, 50), End()):
+            with pytest.raises(ProtocolError, match="closed"):
+                sender.send(message)
+        assert not sender._queue
+
+    def test_close_refuses_a_producer_blocked_on_a_full_queue(self):
+        sender = FrameSender(queue_capacity=1, policy="block")
+        # a writer that has stopped: nothing drains the queue
+        sender._thread = threading.Thread(target=lambda: None)
+        sender._thread.start()
+        sender.send(_frame_of(0))
+        errors = []
+
+        def produce():
+            try:
+                sender.send(_frame_of(1))
+            except ProtocolError as exc:
+                errors.append(exc)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        time.sleep(0.05)  # let the producer wait on the full queue
+        sender.close()
+        producer.join(30.0)
+        assert not producer.is_alive()
+        assert len(errors) == 1
+        assert list(sender._queue) == [_frame_of(0)]
+
+    def test_second_close_sends_no_second_end(self):
+        listener = Listener("127.0.0.1:0")
+        received, errors = [], []
+        receiver = threading.Thread(target=_collect_receiver,
+                                    args=(listener, received, errors), daemon=True)
+        receiver.start()
+        sender = FrameSender(listener.endpoint)
+        sender.send(Hello(4, 5000, 50))
+        sender.send(_frame_of(1))
+        report = sender.close()
+        assert report == SenderReport(sent=3, drops=0)
+        assert sender.close() == report
+        assert not sender._queue
+        receiver.join(30.0)
+        assert not receiver.is_alive()
+        assert not errors
+        assert received == [Hello(4, 5000, 50), _frame_of(1), End()]
+
+    def test_drops_keep_each_message_with_its_bytes(self, monkeypatch):
+        """Drop-oldest among interleaved Hellos writes exactly the survivors' bytes."""
+        capacity = 4
+        sender = FrameSender(queue_capacity=capacity)
+        sent = []
+        for i in range(40):
+            message = (Hello(4, 5000, i) if i % 7 == 0
+                       else _frame_of(i) if i % 2 else IntensityOnly(i, i * 0.25))
+            sender.send(message)
+            sent.append(message)
+        data = [m for m in sent if not isinstance(m, Hello)]
+        survivors = [m for m in sent if isinstance(m, Hello) or m in data[-capacity:]]
+        assert list(sender._queue) == survivors
+        assert sender.drops == len(data) - capacity
+        writes = []
+        sendall = socket.socket.sendall
+
+        def recording_sendall(sock, data, *args):
+            writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        listener = Listener("127.0.0.1:0")
+        received, errors = [], []
+        receiver = threading.Thread(target=_collect_receiver,
+                                    args=(listener, received, errors), daemon=True)
+        receiver.start()
+        sender.connect(listener.endpoint)
+        report = sender.close()
+        receiver.join(30.0)
+        assert not receiver.is_alive()
+        assert not errors
+        assert b"".join(writes) == b"".join(map(encode, survivors + [End()]))
+        assert received == survivors + [End()]
+        assert report == SenderReport(sent=len(survivors) + 1, drops=len(data) - capacity)
 
     def test_queued_messages_go_in_one_sendall(self, monkeypatch):
         queued = [Hello(4, 5000, 50)] + [_frame_of(i) for i in range(300)]
