@@ -9,12 +9,15 @@ One session file holds synchronized vibration, pose and intensity streams:
 Defined chunk tags: VIBR (interleaved float32 frames), POSE (36-byte records
 u64 t_us + 7 x f32), INTS (u64 t_us + f32), META (utf-8 key=value lines).
 Unknown tags are skipped on read and preserved on rewrite, so future
-recorders can extend the format without breaking old tooling.
+recorders can extend the format without breaking old tooling. A stream may
+span several chunks, joined in file order; the writer writes each vibration
+append as one VIBR chunk at once and buffers only poses and intensities.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from array import array
@@ -71,12 +74,15 @@ def _store_f32(rec: np.ndarray, name: str, values, what: str) -> None:
 
 
 class SessionWriter:
-    """Incremental session recorder; buffers streams and flushes them as chunks.
+    """Incremental session recorder.
 
-    Poses and intensities are buffered as columns of machine numbers, not as
-    records, and each flush packs a stream's columns into one structured
-    array. Used as a context manager, it closes on leaving the block, also
-    when an error leaves it, and the file then holds what was appended.
+    Each vibration append is written to the file at once as one VIBR chunk,
+    from the frames' own buffer when they are already C-contiguous
+    little-endian float32, so the writer keeps no vibration. It buffers only
+    poses and intensities, as columns of machine numbers, not as records,
+    and each flush packs a stream's columns into one structured array. Used
+    as a context manager, it closes on leaving the block, also when an error
+    leaves it, and the file then holds what was appended.
     """
 
     def __init__(self, path, sample_rate_hz: float = 5000.0, channels: int = 4,
@@ -92,7 +98,6 @@ class SessionWriter:
         ident = model_id.encode("utf-8")
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, self.sample_rate_hz,
                                     channels, self.segment_ms, len(ident)) + ident)
-        self._vib: list[np.ndarray] = []
         self._new_pose_columns()
         self._new_intensity_columns()
         self._meta: dict[str, str] = {}
@@ -101,14 +106,15 @@ class SessionWriter:
         self._counts = {"VIBR": 0, "POSE": 0, "INTS": 0}
 
     def append_vibration(self, frames: np.ndarray) -> None:
-        """Append interleaved sample frames, shape (n,) for mono or (n, channels)."""
-        arr = np.asarray(frames, dtype=np.float32)
+        """Write interleaved frames, shape (n,) or (n, channels), as one VIBR chunk now."""
+        arr = np.asarray(frames, dtype="<f4", order="C")
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[1] != self.channels:
             raise DataError(
                 f"vibration frames must have {self.channels} channels, got shape {arr.shape}")
-        self._vib.append(np.ascontiguousarray(arr))
+        if arr.shape[0]:
+            self._write_chunk(TAG_VIBRATION, arr)
         self._counts["VIBR"] += arr.shape[0]
 
     def append_pose(self, pose: PoseSample) -> None:
@@ -157,16 +163,12 @@ class SessionWriter:
             raise DataError("meta keys/values must not contain '=' in key or newlines")
         self._meta[key] = value
 
-    def _write_chunk(self, tag: bytes, payload: bytes) -> None:
-        self._fh.write(_CHUNK_HEADER.pack(tag, len(payload)))
+    def _write_chunk(self, tag: bytes, payload: bytes | np.ndarray) -> None:
+        self._fh.write(_CHUNK_HEADER.pack(tag, memoryview(payload).nbytes))
         self._fh.write(payload)
 
     def flush(self) -> None:
-        """Write buffered data out as one chunk per stream type."""
-        if self._vib:
-            payload = np.concatenate(self._vib, axis=0).astype("<f4").tobytes()
-            self._write_chunk(TAG_VIBRATION, payload)
-            self._vib.clear()
+        """Write buffered poses, intensities and meta out as one chunk per stream type."""
         if self._pose_t:
             rec = np.empty(len(self._pose_t), dtype=_POSE_DTYPE)
             rec["t_us"] = self._pose_t
@@ -175,13 +177,13 @@ class SessionWriter:
             _store_f32(rec, "orientation",
                        np.frombuffer(self._pose_orientation).reshape(-1, 4),
                        "pose orientation")
-            self._write_chunk(TAG_POSE, rec.tobytes())
+            self._write_chunk(TAG_POSE, rec)
             self._new_pose_columns()
         if self._ints_t:
             rec = np.empty(len(self._ints_t), dtype=_INTS_DTYPE)
             rec["t_us"] = self._ints_t
             _store_f32(rec, "value", np.frombuffer(self._ints_value), "intensity")
-            self._write_chunk(TAG_INTENSITY, rec.tobytes())
+            self._write_chunk(TAG_INTENSITY, rec)
             self._new_intensity_columns()
         if self._meta:
             text = "".join(f"{k}={v}\n" for k, v in self._meta.items())
@@ -241,6 +243,7 @@ class Session:
                 raise FileFormatError(f"{path}: truncated model identifier")
             model_id = ident.decode("utf-8")
 
+            size = os.fstat(fh.fileno()).st_size
             vib_parts: list[np.ndarray] = []
             poses: list[PoseSample] = []
             ints: list[np.ndarray] = []
@@ -253,16 +256,23 @@ class Session:
                 if len(chunk_head) < _CHUNK_HEADER.size:
                     raise FileFormatError(f"{path}: truncated chunk header")
                 tag, length = _CHUNK_HEADER.unpack(chunk_head)
-                payload = fh.read(length)
-                if len(payload) < length:
+                # checked before reading, so a bad length allocates nothing
+                if length > size - fh.tell():
                     raise FileFormatError(
                         f"{path}: chunk {tag.decode('ascii', 'replace')} of length "
                         f"{length} overruns the file")
                 if tag == TAG_VIBRATION:
                     if length % (4 * channels):
                         raise FileFormatError(f"{path}: VIBR length not a frame multiple")
-                    vib_parts.append(
-                        np.frombuffer(payload, dtype="<f4").reshape(-1, channels))
+                    payload = np.empty((length // (4 * channels), channels), dtype="<f4")
+                    got = fh.readinto(payload)
+                else:
+                    payload = fh.read(length)
+                    got = len(payload)
+                if got < length:
+                    raise FileFormatError(f"{path}: file shrank while being read")
+                if tag == TAG_VIBRATION:
+                    vib_parts.append(payload)
                 elif tag == TAG_POSE:
                     if length % _POSE_DTYPE.itemsize:
                         raise FileFormatError(f"{path}: POSE length not a record multiple")
@@ -282,8 +292,8 @@ class Session:
                 else:
                     extra.append((tag, payload))
 
-        vibration = (np.concatenate(vib_parts, axis=0) if vib_parts
-                     else np.zeros((0, channels), dtype=np.float32))
+        vibration = (vib_parts[0] if len(vib_parts) == 1 else
+                     np.concatenate([np.zeros((0, channels), np.float32), *vib_parts]))
         intensities = np.concatenate(ints) if ints else np.zeros((0, 2))
         return cls(sample_rate_hz=rate, channels=channels, segment_ms=segment_ms,
                    model_id=model_id, vibration=vibration, poses=poses,

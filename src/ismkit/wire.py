@@ -414,19 +414,19 @@ class FrameSender:
         self._thread.start()
 
     def send(self, message: WireMessage) -> None:
-        """Queue a message; DataError if it is not one, ProtocolError once closed."""
+        """Queue a message; DataError if it is not one, ProtocolError once closed or failed."""
         data = encode(message)
         with self._lock:
-            if self._closing:
-                raise ProtocolError("send on a closed sender")
+            if self._closing or self.error is not None:
+                raise self._refusal()
             if _droppable(message):
                 if self._n_droppable >= self._capacity:
                     if self._policy == "block" and self._thread is not None:
                         while (self._n_droppable >= self._capacity
                                and self.error is None and not self._closing):
                             self._wake.wait()
-                        if self._closing:
-                            raise ProtocolError("send on a closed sender")
+                        if self._closing or self.error is not None:
+                            raise self._refusal()
                     else:
                         for i, queued in enumerate(self._queue):
                             if _droppable(queued):
@@ -442,6 +442,10 @@ class FrameSender:
                 self._wake.notify_all()
             self._queue.append(message)
             self._encoded.append(data)
+
+    def _refusal(self) -> ProtocolError:
+        return ProtocolError("send on a closed sender" if self._closing
+                             else f"send after the writer failed: {self.error}")
 
     def _drain(self) -> None:
         while True:

@@ -2,15 +2,18 @@ import gc
 import math
 import struct
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ismkit import ism
 from ismkit.errors import DataError, FileFormatError
-from ismkit.session import (_CHUNK_HEADER, TAG_INTENSITY, TAG_POSE, ReplayClock, Session,
-                            SessionWriter, record, replay, replay_events)
+from ismkit.session import (_CHUNK_HEADER, TAG_INTENSITY, TAG_META, TAG_POSE, TAG_VIBRATION,
+                            ReplayClock, Session, SessionWriter, record, replay,
+                            replay_events)
 from ismkit.trajectory import PoseSample, load_pose_csv, save_pose_csv
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -253,6 +256,17 @@ def _chunk_list(data: bytes) -> list:
     return out
 
 
+def _pack_session(rate, channels, segment_ms, model_id, chunks) -> bytes:
+    """A session file's bytes from its header fields and (tag, payload) chunks.
+
+    The inverse of `_chunk_list`, frozen from the documented layout.
+    """
+    ident = model_id.encode("utf-8")
+    return (struct.pack("<4sHdBdH", b"ISMS", 1, rate, channels, segment_ms, len(ident))
+            + ident + b"".join(struct.pack("<4sI", tag, len(payload)) + payload
+                               for tag, payload in chunks))
+
+
 def _chunks(data: bytes) -> dict:
     """Payload of each chunk tag in a session file's bytes (the last of a tag wins)."""
     return dict(_chunk_list(data))
@@ -262,6 +276,113 @@ def _append_pose_chunk(path, records):
     payload = b"".join(_POSE_RECORD.pack(t, *p, *q) for t, p, q in records)
     with open(path, "ab") as fh:
         fh.write(_CHUNK_HEADER.pack(TAG_POSE, len(payload)) + payload)
+
+
+# how a caller may hand over frames it holds as float32 `base`
+_VIB_INPUTS = {
+    "mono": lambda base: base[:, 0] if base.shape[1] == 1 else base,
+    "float32": lambda base: base,
+    "float64": lambda base: base.astype(np.float64),
+    "strided": lambda base: np.repeat(base, 2, axis=0)[::2],
+    "fortran": np.asfortranarray,
+    "big-endian": lambda base: base.astype(">f4"),
+}
+_UNIT_QUATERNIONS = [IDENTITY_Q, np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.6, 0.0, 0.8, 0.0])]
+_SCHEDULES = st.lists(st.one_of(
+    st.tuples(st.just("vibration"), st.sampled_from(sorted(_VIB_INPUTS)), st.integers(0, 40)),
+    st.tuples(st.just("poses"), st.integers(1, 3)),
+    st.tuples(st.just("intensities"), st.integers(1, 3)),
+    st.just(("flush",))), max_size=20)
+
+
+class TestVibrationChunks:
+    """Each vibration append is one VIBR chunk, written at once from the caller's frames."""
+
+    def test_reused_buffer_reads_back_as_appended(self, tmp_path):
+        path = tmp_path / "reuse.isms"
+        buf = np.ones((100, 4), dtype=np.float32)
+        with SessionWriter(path, channels=4) as writer:
+            writer.append_vibration(buf)
+            buf[:] = 7.0
+            writer.append_vibration(buf)
+        vibration = Session.open(path).vibration
+        assert vibration.shape == (200, 4)
+        assert (vibration[:100] == 1.0).all() and (vibration[100:] == 7.0).all()
+
+    def test_record_and_save_write_the_frozen_layout(self, tmp_path):
+        path = tmp_path / "frozen.isms"
+        vib, poses, ints = _sample_session(path)
+        chunks = [
+            (TAG_VIBRATION, vib.astype("<f4").tobytes()),
+            (TAG_POSE, b"".join(_POSE_RECORD.pack(p.t_us, *p.position, *p.orientation)
+                                for p in poses)),
+            (TAG_INTENSITY, b"".join(_INTS_RECORD.pack(t, v) for t, v in ints)),
+            (TAG_META, b"operator=test\n")]
+        data = path.read_bytes()
+        assert _chunk_list(data) == chunks
+        assert data == _pack_session(5000.0, 4, 5.0, "", chunks)
+        Session.open(path).save(tmp_path / "saved.isms")
+        assert (tmp_path / "saved.isms").read_bytes() == data
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(channels=st.sampled_from([1, 3]), schedule=_SCHEDULES, seed=st.integers(0, 2**32 - 1))
+    def test_open_returns_what_was_appended(self, tmp_path, channels, schedule, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "schedule.isms"
+        chunks, vibration, poses, ints = [], [], [], []
+        pending_poses, pending_ints = [], []
+        t_pose = t_ints = 0
+
+        def flushed():
+            if pending_poses:
+                chunks.append((TAG_POSE, b"".join(pending_poses)))
+            if pending_ints:
+                chunks.append((TAG_INTENSITY, b"".join(pending_ints)))
+            pending_poses.clear()
+            pending_ints.clear()
+
+        with SessionWriter(path, 5000.0, channels, 5.0, "prop") as writer:
+            for op in schedule:
+                if op[0] == "vibration":
+                    base = rng.standard_normal((op[2], channels)).astype(np.float32)
+                    vibration.append(base.copy())
+                    if op[2]:
+                        chunks.append((TAG_VIBRATION, base.astype("<f4").tobytes()))
+                    frames = _VIB_INPUTS[op[1]](base)
+                    writer.append_vibration(frames)
+                    frames[...] = 7.0  # the writer holds no reference to the caller's frames
+                elif op[0] == "poses":
+                    for _ in range(op[1]):
+                        t_pose += int(rng.integers(0, 1000))
+                        q = _UNIT_QUATERNIONS[rng.integers(len(_UNIT_QUATERNIONS))]
+                        pose = PoseSample(t_pose, rng.uniform(-2, 2, 3), q)
+                        writer.append_pose(pose)
+                        poses.append(pose)
+                        pending_poses.append(
+                            _POSE_RECORD.pack(pose.t_us, *pose.position, *pose.orientation))
+                elif op[0] == "intensities":
+                    for _ in range(op[1]):
+                        t_ints += int(rng.integers(0, 1000))
+                        value = float(rng.uniform(0, 3))
+                        writer.append_intensity(t_ints, value)
+                        ints.append((t_ints, value))
+                        pending_ints.append(_INTS_RECORD.pack(t_ints, value))
+                else:
+                    writer.flush()
+                    flushed()
+        flushed()
+        assert path.read_bytes() == _pack_session(5000.0, channels, 5.0, "prop", chunks)
+        session = Session.open(path)
+        want = np.concatenate([np.zeros((0, channels), np.float32), *vibration])
+        assert session.vibration.dtype == np.float32
+        assert session.vibration.shape == want.shape
+        assert session.vibration.tobytes() == want.tobytes()
+        assert [p.t_us for p in session.poses] == [p.t_us for p in poses]
+        for got, appended in zip(session.poses, poses):
+            assert np.array_equal(got.position, _f32(appended.position))
+            assert np.array_equal(got.orientation, _f32(appended.orientation))
+        assert session.intensities.tolist() == [[float(t), float(np.float32(v))] for t, v in ints]
 
 
 class TestPoseChunks:
@@ -330,6 +451,23 @@ class TestUnknownChunks:
             fh.write(b"VIBR" + struct.pack("<I", 999999) + b"short")
         with pytest.raises(FileFormatError, match="VIBR"):
             Session.open(path)
+
+    @pytest.mark.parametrize("tag", [TAG_VIBRATION, TAG_POSE, TAG_INTENSITY, TAG_META, b"XTRA"])
+    def test_declared_length_beyond_the_file_allocates_nothing(self, tmp_path, tag):
+        path = tmp_path / "huge.isms"
+        _sample_session(path)
+        with open(path, "ab") as fh:
+            fh.write(tag + struct.pack("<I", 4_294_967_280) + b"short")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError) as raised:
+                Session.open(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == (
+            f"{path}: chunk {tag.decode()} of length 4294967280 overruns the file")
+        assert peak < 1 << 20
 
     def test_not_a_session_rejected(self, tmp_path):
         path = tmp_path / "no.isms"

@@ -711,6 +711,35 @@ class TestSenderQueue:
         assert len(errors) == 1
         assert list(sender._queue) == [_frame_of(0)]
 
+    @pytest.mark.parametrize("policy", ["block", "drop-oldest"])
+    def test_send_after_the_writer_failed_raises_protocol_error(self, policy):
+        """Once the writer thread has failed, send refuses instead of queueing."""
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        sender = FrameSender(f"127.0.0.1:{server.getsockname()[1]}",
+                             queue_capacity=8, policy=policy)
+        peer, _ = server.accept()
+        # close with a reset, so the sender's next write fails
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        server.close()
+        deadline = time.monotonic() + 30.0
+        with pytest.raises(ProtocolError) as raised:
+            for i in range(200_000):
+                sender.send(_frame_of(i))
+                if time.monotonic() > deadline:
+                    break
+        assert sender.error is not None
+        assert str(raised.value) == f"send after the writer failed: {sender.error}"
+        assert len(sender._queue) <= 8
+        for message in (_frame_of(0), Hello(4, 5000, 50), End()):
+            with pytest.raises(ProtocolError, match="writer failed"):
+                sender.send(message)
+        report = sender.close()
+        assert report.error == sender.error
+        assert not sender._queue
+
     def test_second_close_sends_no_second_end(self):
         listener = Listener("127.0.0.1:0")
         received, errors = [], []
