@@ -15,8 +15,7 @@ from .ism import (AnalysisResult, IntensityProfile, IsmConfig, StreamingAnalyzer
 from .psychophysics import (DEFAULT_MODEL, PsychoModel, amplitude_for_intensity,
                             intensity_single, threshold_at)
 from .session import ReplayClock, Session, SessionWriter, record, replay
-from .signal import (MultiChannelWaveform, SegmentGrid, Waveform, lowfreq_extract,
-                     segment)
+from .signal import MultiChannelWaveform, Waveform, lowfreq_extract
 from .trajectory import (PoseSample, ToolCalibration, TrajectoryConfig,
                          TrajectoryPoint, build_trajectory, export_ply,
                          pivot_calibrate, tip_position)
@@ -31,12 +30,12 @@ __all__ = [
     "EmdConfig", "End", "FileFormatError", "Frame", "FrameSender", "Hello",
     "ImfSet", "IntensityOnly", "IntensityProfile", "IsmConfig", "IsmkitError",
     "Listener", "MultiChannelWaveform", "NormalizationConfig", "PoseSample",
-    "ProtocolError", "PsychoModel", "ReplayClock", "SegmentGrid", "Session",
+    "ProtocolError", "PsychoModel", "ReplayClock", "Session",
     "SessionWriter", "StreamingAnalyzer", "ToolCalibration", "TrajectoryConfig",
     "TrajectoryPoint", "TURBO", "UsageError", "Waveform",
     "amplitude_for_intensity", "analyze", "build_trajectory", "convert",
     "decode", "emd_decompose", "encode", "export_ply", "fuse_channels",
     "intensity_single", "load_wav", "lowfreq_extract", "map_color", "normalize",
-    "pivot_calibrate", "record", "replay", "save_wav", "segment",
-    "synthesize", "threshold_at", "tip_position",
+    "pivot_calibrate", "record", "replay", "save_wav", "synthesize", "threshold_at",
+    "tip_position",
 ]

@@ -151,9 +151,9 @@ def cmd_convert(args) -> int:
     model = cfg.model()
     config = cfg.ism_config()
     converted = tuple(ism.convert(ch, model, config) for ch in _channels(load_wav(args.input)))
-    save_wav(converted[0] if len(converted) == 1 else MultiChannelWaveform(converted),
-             args.out, encoding=args.encoding)
-    print(f"converted samples={len(converted[0])} out={args.out}")
+    clipped = save_wav(converted[0] if len(converted) == 1 else MultiChannelWaveform(converted),
+                       args.out, encoding=args.encoding)
+    print(f"converted samples={len(converted[0])} clipped={clipped} out={args.out}")
     return EXIT_OK
 
 

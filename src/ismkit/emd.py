@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import DataError
-from .signal import SegmentGrid, Waveform
+from .signal import Waveform
 
 (_DGTSV,) = get_lapack_funcs(("gtsv",), (np.empty(0, dtype=np.float64),))
 
@@ -442,21 +442,21 @@ def _sift(x: np.ndarray, mean: np.ndarray, cfg: EmdConfig) -> np.ndarray:
     return h
 
 
-def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _component_arrays(imfs: np.ndarray, seg_len: int, seg_duration_s: float,
+                      offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment (amplitude, frequency, resolvable) arrays for a stack of IMFs.
 
     imfs is (rows, samples); each result is (rows, segments). Segment k of
-    a row spans samples [offset + k*L, offset + (k+1)*L). Sign flips are
+    a row spans samples [offset + k*L, offset + (k+1)*L) for L = seg_len,
+    and a trailing partial segment is dropped. Sign flips are
     located once over the whole row and each flip is attributed to the
     segment containing the later sample of the flipping pair, so a crossing
     that straddles a segment boundary is counted exactly once. Passing
     offset=1 gives the first segment one sample of incoming context, which is
     how buffered analysis avoids losing crossings at buffer boundaries.
     """
-    seg_len = grid.segment_len_samples
-    n_seg = grid.segment_count
     rows = imfs.shape[0]
+    n_seg = (imfs.shape[1] - offset) // seg_len
     end = offset + n_seg * seg_len
     m = imfs[:, offset:end].reshape(rows * n_seg, seg_len)
 
@@ -485,6 +485,6 @@ def _component_arrays(imfs: np.ndarray, grid: SegmentGrid, offset: int = 0
         crossings[:, 0] += live & ~nonzero[:, 0]
     crossings[:, -1] += live & ~nonzero[:, -1]
 
-    frequency = crossings / (2.0 * grid.segment_duration_s)
+    frequency = crossings / (2.0 * seg_duration_s)
     resolvable = crossings >= 2
     return amplitude, frequency, resolvable

@@ -34,6 +34,7 @@ the workers' runs itself, and the next large stack forks a new pool.
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing
 import os
 import threading
@@ -49,8 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import psychophysics as psy
 from .emd import EmdConfig, emd_decompose_rows, _component_arrays
 from .errors import DataError, FileFormatError, decoding
-from .signal import (SEGMENT_MS, SegmentGrid, Waveform, lowpass_sos, segment,
-                     segment_length)
+from .signal import SEGMENT_MS, Waveform, lowpass_sos, segment_length
 
 CROSSFADE_FRACTION = 0.25
 # Buffers decomposed together. On a 4-channel 60 s analyze, blocks of 32
@@ -73,18 +73,16 @@ _pool_lock = threading.Lock()
 class IsmConfig:
     carrier_hz: float = 200.0
     buffer_ms: float = 100.0
-    lowfreq_cutoff_hz: float = 100.0
-    crossfade: bool = True
     segment_ms: float = SEGMENT_MS
     emd: EmdConfig = field(default_factory=EmdConfig)
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or self.buffer_ms <= 0 or self.lowfreq_cutoff_hz <= 0:
-            raise DataError("carrier, buffer and cutoff must be positive")
-        if self.segment_ms <= 0:
-            raise DataError("segment_ms must be positive")
+        for name in ("carrier_hz", "buffer_ms", "segment_ms"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DataError(f"{name} must be a positive finite number, got {value}")
         ratio = self.buffer_ms / self.segment_ms
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
             raise DataError(
                 f"buffer_ms ({self.buffer_ms}) must be an integer multiple of "
                 f"segment_ms ({self.segment_ms})")
@@ -152,12 +150,12 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _block_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int,
-                       seg_duration_s: float, model: psy.PsychoModel,
-                       cfg: IsmConfig) -> np.ndarray:
+def _block_intensities(chunks: np.ndarray, offset: int, seg_len: int,
+                       model: psy.PsychoModel, cfg: IsmConfig) -> np.ndarray:
     """_start_intensities in one process: BLOCK_ROWS rows at a time."""
-    grid = SegmentGrid(seg_len, n_seg, seg_duration_s)
-    out = np.zeros((chunks.shape[0], n_seg), dtype=np.float64)
+    seg_duration_s = cfg.segment_ms / 1000.0
+    out = np.zeros((chunks.shape[0], (chunks.shape[1] - offset) // seg_len),
+                   dtype=np.float64)
     for b in range(0, chunks.shape[0], BLOCK_ROWS):
         imfs, _ = emd_decompose_rows(chunks[b:b + BLOCK_ROWS], cfg.emd)
         if not imfs:
@@ -166,29 +164,29 @@ def _block_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int
         # so the sums round the same however many buffers share a block
         rows = np.concatenate([r for r, _ in imfs])
         amp, freq, resolvable = _component_arrays(
-            np.concatenate([imf for _, imf in imfs]), grid, offset)
+            np.concatenate([imf for _, imf in imfs]), seg_len, seg_duration_s, offset)
         r, k = resolvable.nonzero()
         np.add.at(out[b:b + BLOCK_ROWS], (rows[r], k),
                   psy.intensity_single(amp[r, k], freq[r, k], model))
     return out
 
 
-def _start_intensities(chunks: np.ndarray, offset: int, n_seg: int, seg_len: int,
-                       seg_duration_s: float, model: psy.PsychoModel,
-                       cfg: IsmConfig) -> Callable[[], np.ndarray]:
+def _start_intensities(chunks: np.ndarray, offset: int, seg_len: int,
+                       model: psy.PsychoModel, cfg: IsmConfig
+                       ) -> Callable[[], np.ndarray]:
     """Total per-segment intensity of each buffer in a (buffers, samples) stack.
 
-    Every row is `offset` context samples followed by n_seg segments. Rows
+    Every row is `offset` context samples followed by whole segments. Rows
     are decomposed BLOCK_ROWS at a time, and all IMFs of a block are measured
     and mapped to intensity in one pass. A stack of PARALLEL_MIN_ROWS or more
     is split into runs of whole blocks across CPUs (see the module
     docstring). The work is started here and finished by calling the
-    result, which returns (buffers, n_seg): the workers get their runs
+    result, which returns (buffers, segments): the workers get their runs
     before this returns, and the call sifts the last run in this process and
     joins them, so the caller can do other work in between. Without workers
     all the work happens in the call.
     """
-    args = (offset, n_seg, seg_len, seg_duration_s, model, cfg)
+    args = (offset, seg_len, model, cfg)
     cpus = _usable_cpus() if chunks.shape[0] >= PARALLEL_MIN_ROWS else 1
     pool = _worker_pool(cpus - 1) if cpus > 1 else None
     serial = partial(_block_intensities, chunks, *args)
@@ -223,13 +221,14 @@ def analyze(waveform: Waveform, model: psy.PsychoModel | None = None,
     Buffers are processed independently, each carrying one sample of
     incoming context so zero crossings that straddle a buffer boundary are
     attributed to the segment they complete in. A trailing partial buffer is
-    still analyzed as long as it holds at least one full segment, so the
-    profile covers every full segment of the input. This is one
+    still analyzed as long as it holds at least one full segment (and, with
+    its context sample, the 8 samples EMD needs), so at 1.4 kHz and above
+    the profile covers every full segment of the input. This is one
     StreamingAnalyzer fed the whole waveform, so the two agree bit for bit.
     """
     cfg = config or IsmConfig()
-    grid = segment(waveform, cfg.segment_ms)
-    if grid.segment_count < cfg.segments_per_buffer:
+    seg_len = segment_length(cfg.segment_ms, waveform.sample_rate_hz)
+    if len(waveform) < cfg.segments_per_buffer * seg_len:
         raise DataError(
             f"input of {len(waveform)} samples is shorter than one "
             f"{cfg.buffer_ms} ms buffer")
@@ -261,8 +260,7 @@ class StreamingAnalyzer:
         self._rate = float(sample_rate_hz)
         self._seg_len = segment_length(self._cfg.segment_ms, self._rate)
         self._buf_segments = self._cfg.segments_per_buffer
-        self._seg_duration_s = self._cfg.segment_ms / 1000.0
-        self._sos = lowpass_sos(self._cfg.lowfreq_cutoff_hz, self._rate)
+        self._sos = lowpass_sos(self._rate)
         self._zi = sosfilt_zi(self._sos) * 0.0  # zero initial conditions
         self._tail = np.empty(0, dtype=np.float64)
         self._context = 0  # 1 once any buffer has been consumed
@@ -283,10 +281,9 @@ class StreamingAnalyzer:
 
         pending: list[Callable[[], np.ndarray]] = []
         buf_len = self._buf_segments * self._seg_len
-        args = (self._seg_len, self._seg_duration_s, self._model, self._cfg)
+        args = (self._seg_len, self._model, self._cfg)
         if self._context == 0 and self._tail.size >= buf_len:
-            pending.append(_start_intensities(
-                self._tail[None, :buf_len], 0, self._buf_segments, *args))
+            pending.append(_start_intensities(self._tail[None, :buf_len], 0, *args))
             # keep the last consumed sample as context for the next buffer
             self._tail = self._tail[buf_len - 1:]
             self._context = 1
@@ -295,7 +292,7 @@ class StreamingAnalyzer:
             # row k: buffer k after its one context sample, as a view
             rows = sliding_window_view(self._tail[:n_rows * buf_len + 1],
                                        buf_len + 1)[::buf_len]
-            pending.append(_start_intensities(rows, 1, self._buf_segments, *args))
+            pending.append(_start_intensities(rows, 1, *args))
             self._tail = self._tail[n_rows * buf_len:]
         # any workers sift their runs while this process filters
         low, self._zi = sosfilt(self._sos, samples, zi=self._zi)
@@ -304,17 +301,20 @@ class StreamingAnalyzer:
         return values, Waveform(low, self._rate)
 
     def finish(self) -> np.ndarray:
-        """Flush trailing full segments of a final partial buffer."""
+        """Flush trailing full segments of a final partial buffer.
+
+        Like a partial segment, a tail shorter than the 8 samples EMD needs
+        (one segment at rates below 1.4 kHz) is dropped.
+        """
         if self._finished:
             return np.empty(0)
         self._finished = True
         n_seg = (self._tail.size - self._context) // self._seg_len
-        if n_seg < 1:
-            return np.empty(0)
         chunk = self._tail[:self._context + n_seg * self._seg_len]
-        return _start_intensities(
-            chunk[None], self._context, n_seg, self._seg_len,
-            self._seg_duration_s, self._model, self._cfg)()[0]
+        if n_seg < 1 or chunk.size < 8:
+            return np.empty(0)
+        return _start_intensities(chunk[None], self._context, self._seg_len,
+                                  self._model, self._cfg)()[0]
 
 
 def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...]
@@ -332,28 +332,23 @@ def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...
     return IntensityProfile(mean, first.segment_duration_ms, first.start_time_s)
 
 
-def synthesize(profile: IntensityProfile, lowfreq: Waveform | None,
+def synthesize(profile: IntensityProfile, lowfreq: Waveform,
                model: psy.PsychoModel | None = None,
-               config: IsmConfig | None = None,
-               sample_rate_hz: float | None = None) -> Waveform:
+               config: IsmConfig | None = None) -> Waveform:
     """Resynthesize an amplitude-modulated carrier with the profile's intensity.
 
     Per segment the carrier amplitude is the exact inverse of the intensity
     map at the carrier frequency. The carrier phase advances uniformly across
-    segment boundaries, and with crossfade enabled the amplitude ramps
-    linearly over the first quarter of each segment from the previous
-    segment's amplitude (from silence for the first segment).
+    segment boundaries, and the amplitude ramps linearly over the first
+    quarter of each segment from the previous segment's amplitude (from
+    silence for the first segment). The low-frequency channel sets the
+    sample rate and is added back sample for sample.
     """
     model = model or psy.DEFAULT_MODEL
     cfg = config or IsmConfig()
     if len(profile) == 0:
         raise DataError("cannot synthesize from an empty profile")
-    if lowfreq is not None:
-        rate = lowfreq.sample_rate_hz
-    elif sample_rate_hz is not None:
-        rate = float(sample_rate_hz)
-    else:
-        raise DataError("need lowfreq waveform or explicit sample_rate_hz")
+    rate = lowfreq.sample_rate_hz
     if cfg.carrier_hz >= rate / 2.0:
         raise DataError(f"carrier {cfg.carrier_hz} Hz at or above Nyquist ({rate / 2} Hz)")
 
@@ -365,20 +360,16 @@ def synthesize(profile: IntensityProfile, lowfreq: Waveform | None,
     amps = np.atleast_1d(np.asarray(amps, dtype=np.float64))
 
     envelope = np.repeat(amps, seg_len).reshape(n_seg, seg_len)
-    if cfg.crossfade:
-        fade_len = max(1, int(round(CROSSFADE_FRACTION * seg_len)))
-        prev = np.concatenate([[0.0], amps[:-1]])
-        ramp = np.arange(1, fade_len + 1, dtype=np.float64) / fade_len
-        envelope[:, :fade_len] = prev[:, None] + (amps - prev)[:, None] * ramp[None, :]
+    fade_len = max(1, int(round(CROSSFADE_FRACTION * seg_len)))
+    prev = np.concatenate([[0.0], amps[:-1]])
+    ramp = np.arange(1, fade_len + 1, dtype=np.float64) / fade_len
+    envelope[:, :fade_len] = prev[:, None] + (amps - prev)[:, None] * ramp[None, :]
     envelope = envelope.reshape(n)
 
     phase = 2.0 * np.pi * cfg.carrier_hz * np.arange(n, dtype=np.float64) / rate
-    out = envelope * np.sin(phase)
-    if lowfreq is not None:
-        if len(lowfreq) < n:
-            raise DataError("low-frequency channel shorter than the synthesized span")
-        out = out + lowfreq.samples[:n]
-    return Waveform(out, rate)
+    if len(lowfreq) < n:
+        raise DataError("low-frequency channel shorter than the synthesized span")
+    return Waveform(envelope * np.sin(phase) + lowfreq.samples[:n], rate)
 
 
 def convert(waveform: Waveform, model: psy.PsychoModel | None = None,

@@ -8,6 +8,8 @@ One session file holds synchronized vibration, pose and intensity streams:
 
 Defined chunk tags: VIBR (interleaved float32 frames), POSE (36-byte records
 u64 t_us + 7 x f32), INTS (u64 t_us + f32), META (utf-8 key=value lines).
+Intensity timestamps stop at 2**53 us (about 285 years), the largest span
+in which `Session.intensities` holds every one exactly as float64.
 Unknown tags are skipped on read and preserved on rewrite, so future
 recorders can extend the format without breaking old tooling. A stream may
 span several chunks, joined in file order; the writer writes each vibration
@@ -48,13 +50,10 @@ class ReplayClock:
     """Pacing: wall-clock time = timestamp deltas / speed. speed=inf disables pacing."""
 
     speed: float = 1.0
-    start_offset_s: float = 0.0
 
     def __post_init__(self):
         if not self.speed > 0:
             raise DataError(f"replay speed must be positive, got {self.speed}")
-        if self.start_offset_s < 0:
-            raise DataError("start offset must be non-negative")
 
 
 def _check_t_us(t_us: int, what: str) -> int:
@@ -135,6 +134,9 @@ class SessionWriter:
         except (TypeError, ValueError, OverflowError):
             raise DataError(f"intensity timestamp {t_us!r} is not an integer") from None
         _check_t_us(t_us, "intensity")
+        if t_us > 2 ** 53:
+            raise DataError(f"intensity timestamp {t_us} above 2**53 us, which float64 "
+                            "cannot hold exactly")
         if self._last_ints_t is not None and t_us < self._last_ints_t:
             raise DataError(
                 f"intensity timestamp regression: {t_us} after {self._last_ints_t}")
@@ -283,6 +285,9 @@ class Session:
                     if length % _INTS_DTYPE.itemsize:
                         raise FileFormatError(f"{path}: INTS length not a record multiple")
                     rec = np.frombuffer(payload, dtype=_INTS_DTYPE)
+                    if rec.size and rec["t_us"].max() > 2 ** 53:
+                        raise FileFormatError(
+                            f"{path}: intensity timestamp above 2**53 us")
                     ints.append(np.stack([rec["t_us"], rec["value"]], axis=1, dtype=np.float64))
                 elif tag == TAG_META:
                     for line in payload.decode("utf-8").splitlines():
@@ -349,10 +354,8 @@ def replay_events(session: Session, clock: ReplayClock | None = None):
     Poses and intensities merge by timestamp, a pose first on a tie, and
     each stream keeps its own order among equal timestamps. A pose event
     carries the last intensity before it (0.0 before the first); an
-    intensity event carries its own value. Events earlier than the first
-    event plus the clock's start offset are skipped, though a skipped
-    intensity is still held. Delivery is paced by timestamp deltas / speed;
-    speed=inf yields the identical sequence without waiting.
+    intensity event carries its own value. Delivery is paced by timestamp
+    deltas / speed; speed=inf yields the identical sequence without waiting.
     """
     clock = clock or ReplayClock()
     poses = session.poses
@@ -370,15 +373,13 @@ def replay_events(session: Session, clock: ReplayClock | None = None):
     order = np.argsort(t, kind="stable")
     values = session.intensities[:, 1].tolist()
     n_poses = len(poses)
-    t0 = int(t[order[0]]) + int(clock.start_offset_s * 1e6)
+    t0 = int(t[order[0]])
     paced = math.isfinite(clock.speed)
     start_wall = time.monotonic()
     held = 0.0
     for i, t_us in zip(order.tolist(), t[order].tolist()):
         if i >= n_poses:
             held = values[i - n_poses]
-        if t_us < t0:
-            continue
         if paced:
             delay = start_wall + (t_us - t0) / 1e6 / clock.speed - time.monotonic()
             if delay > 0:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -11,6 +12,9 @@ from .errors import DataError
 
 DEFAULT_SAMPLE_RATE_HZ = 5000.0
 SEGMENT_MS = 5.0
+# Content below this is too slow to resolve in a 5 ms window; it bypasses
+# the intensity map and is carried alongside as the low-frequency channel.
+LOWFREQ_CUTOFF_HZ = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,56 +74,33 @@ class MultiChannelWaveform:
         return self.channels[0].sample_rate_hz
 
 
-@dataclass(frozen=True)
-class SegmentGrid:
-    """Fixed-length analysis windows over a signal; a trailing partial window is dropped."""
-
-    segment_len_samples: int
-    segment_count: int
-    segment_duration_s: float = field(default=SEGMENT_MS / 1000.0)
-
-
 def segment_length(segment_ms: float, sample_rate_hz: float) -> int:
     """Samples in one segment window: round(segment_ms/1000 * rate), at least 2."""
-    seg_len = int(round(segment_ms / 1000.0 * sample_rate_hz))
-    if seg_len < 2:
+    samples = segment_ms / 1000.0 * sample_rate_hz
+    # round() takes 1.5 to 2; an infinite count has no integer
+    if not 1.5 <= samples < math.inf:
         raise DataError(
-            f"segment of {segment_ms} ms at {sample_rate_hz} Hz is {seg_len} samples; "
-            "need >= 2")
-    return seg_len
+            f"segment of {segment_ms} ms at {sample_rate_hz} Hz is {samples:g} samples; "
+            "need 2 to a finite count")
+    return int(round(samples))
 
 
-def segment(waveform: Waveform, segment_ms: float = SEGMENT_MS) -> SegmentGrid:
-    """Build the segment grid for a waveform.
-
-    The window length is segment_length(segment_ms, rate); whatever does
-    not fill a final full window is discarded rather than zero-padded, so the
-    intensity profile never shows an artificial dip at the end of a stream.
-    """
-    n = len(waveform)
-    seg_len = segment_length(segment_ms, waveform.sample_rate_hz)
-    if n < seg_len:
-        raise DataError(f"signal of {n} samples is shorter than one {seg_len}-sample segment")
-    return SegmentGrid(segment_len_samples=seg_len,
-                       segment_count=n // seg_len,
-                       segment_duration_s=segment_ms / 1000.0)
-
-
-def lowpass_sos(cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """Design the causal 4th-order Butterworth low-pass as a biquad cascade."""
+def lowpass_sos(sample_rate_hz: float) -> np.ndarray:
+    """Design the causal 4th-order Butterworth LOWFREQ_CUTOFF_HZ low-pass as a biquad cascade."""
     nyquist = sample_rate_hz / 2.0
-    if not 0 < cutoff_hz < nyquist:
+    if not LOWFREQ_CUTOFF_HZ < nyquist:
         raise DataError(
-            f"cutoff {cutoff_hz} Hz must lie in (0, Nyquist={nyquist} Hz)")
-    return sp_signal.butter(4, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos")
+            f"low-pass cutoff {LOWFREQ_CUTOFF_HZ} Hz must lie below Nyquist ({nyquist} Hz)")
+    return sp_signal.butter(4, LOWFREQ_CUTOFF_HZ, btype="low", fs=sample_rate_hz,
+                            output="sos")
 
 
-def lowfreq_extract(waveform: Waveform, cutoff_hz: float = 100.0) -> Waveform:
-    """Extract the sub-cutoff component of a waveform.
+def lowfreq_extract(waveform: Waveform) -> Waveform:
+    """Extract the sub-LOWFREQ_CUTOFF_HZ component of a waveform.
 
     Causal filtering only (the live loop cannot look ahead), so the output
     carries the filter's group delay. Same length and rate as the input.
     """
-    sos = lowpass_sos(cutoff_hz, waveform.sample_rate_hz)
+    sos = lowpass_sos(waveform.sample_rate_hz)
     filtered = sp_signal.sosfilt(sos, waveform.samples)
     return Waveform(filtered, waveform.sample_rate_hz)

@@ -157,8 +157,10 @@ class TrajectoryConfig:
     align_tolerance_ms: float = 20.0
 
     def __post_init__(self):
-        if self.min_spacing_m <= 0 or self.max_point_rate_hz <= 0 or self.align_tolerance_ms <= 0:
-            raise DataError("trajectory config values must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise DataError(f"{f.name} must be a positive finite number, got {value}")
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

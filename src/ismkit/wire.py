@@ -26,11 +26,12 @@ cyclic garbage collector to track.
 The sender runs a bounded queue with drop-oldest backpressure: when a live
 consumer lags, stale frames are discarded (and counted) rather than delaying
 fresh ones; control messages (Hello/End) are never dropped. `send` encodes
-on the caller's thread, refusing a non-message there, and queues the bytes
-beside the message. The writer thread takes everything queued at once and
-writes the joined bytes with one `sendall`, so at most one queue's worth is
-in flight beyond the kernel's socket buffer, out of reach of drop-oldest;
-`sent` counts the messages of written batches. A closed sender refuses sends.
+on the caller's thread, refusing a non-message there, and queues only its
+bytes; drop-oldest reads a queued message's type from its header. The
+writer thread takes everything queued at once and writes the joined bytes
+with one `sendall`, so at most one queue's worth is in flight beyond the
+kernel's socket buffer, out of reach of drop-oldest; `sent` counts the
+messages of written batches. A closed sender refuses sends.
 """
 
 from __future__ import annotations
@@ -347,6 +348,11 @@ class Decoder:
         return len(self._buf)
 
 
+def _droppable(data: bytes) -> bool:
+    """Whether an encoded message is a Frame or IntensityOnly, by its header's type byte."""
+    return data[4] in (TYPE_FRAME, TYPE_INTENSITY)
+
+
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, sep, port = endpoint.rpartition(":")
     if not sep or not host:
@@ -355,10 +361,6 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise DataError(f"endpoint port is not an integer: {endpoint!r}") from None
-
-
-def _droppable(message: WireMessage) -> bool:
-    return isinstance(message, (Frame, IntensityOnly))
 
 
 @dataclass
@@ -389,8 +391,7 @@ class FrameSender:
         self._capacity = queue_capacity
         self._policy = policy
         self._connect_timeout = connect_timeout
-        self._queue: deque[WireMessage] = deque()
-        self._encoded: deque[bytes] = deque()  # the bytes of each queued message
+        self._encoded: deque[bytes] = deque()  # each queued message, encoded
         self._n_droppable = 0  # capacity bounds frames; control messages ride along
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -413,13 +414,20 @@ class FrameSender:
         self._thread = threading.Thread(target=self._drain, name="ismp-sender", daemon=True)
         self._thread.start()
 
+    @property
+    def _queue(self) -> list[WireMessage]:
+        """The queued messages, decoded from their bytes: what the writer sends next."""
+        with self._lock:
+            queued = b"".join(self._encoded)
+        return Decoder().feed(queued)
+
     def send(self, message: WireMessage) -> None:
         """Queue a message; DataError if it is not one, ProtocolError once closed or failed."""
         data = encode(message)
         with self._lock:
             if self._closing or self.error is not None:
                 raise self._refusal()
-            if _droppable(message):
+            if _droppable(data):
                 if self._n_droppable >= self._capacity:
                     if self._policy == "block" and self._thread is not None:
                         while (self._n_droppable >= self._capacity
@@ -428,19 +436,17 @@ class FrameSender:
                         if self._closing or self.error is not None:
                             raise self._refusal()
                     else:
-                        for i, queued in enumerate(self._queue):
+                        for i, queued in enumerate(self._encoded):
                             if _droppable(queued):
-                                del self._queue[i]
                                 del self._encoded[i]
                                 self._n_droppable -= 1
                                 self.drops += 1
                                 break
                 self._n_droppable += 1
-            if not self._queue:
+            if not self._encoded:
                 # a writer thread waits for a send only on an empty queue;
                 # producers blocked on a full one wait for the writer instead
                 self._wake.notify_all()
-            self._queue.append(message)
             self._encoded.append(data)
 
     def _refusal(self) -> ProtocolError:
@@ -450,12 +456,11 @@ class FrameSender:
     def _drain(self) -> None:
         while True:
             with self._lock:
-                while not self._queue and not self._closing:
+                while not self._encoded and not self._closing:
                     self._wake.wait()
-                if not self._queue:
+                if not self._encoded:
                     return
                 batch, self._encoded = self._encoded, deque()
-                self._queue.clear()
                 self._n_droppable = 0
                 self._wake.notify_all()
             try:
@@ -463,7 +468,6 @@ class FrameSender:
             except OSError as exc:
                 with self._lock:
                     self.error = str(exc)
-                    self._queue.clear()
                     self._encoded.clear()
                     self._wake.notify_all()
                 return
@@ -476,7 +480,6 @@ class FrameSender:
         """
         with self._lock:
             if send_end and not self._closing and self._sock is not None and self.error is None:
-                self._queue.append(End())
                 self._encoded.append(_END_MSG)
             self._closing = True
             self._wake.notify_all()
@@ -519,13 +522,18 @@ class Listener:
 
         Enforces that a Hello arrives before any Frame/IntensityOnly;
         violations raise ProtocolError. Returns when End arrives or the
-        peer disconnects.
+        peer disconnects. The listening socket is closed on return; an
+        accept_timeout that is not a positive finite number of seconds is a
+        DataError.
         """
-        self._server.settimeout(accept_timeout)
         stats = ReceiverStats()
         decoder = Decoder()
         hello_seen = False
         try:
+            if not 0 < accept_timeout < math.inf:
+                raise DataError(f"accept timeout must be a positive finite number of "
+                                f"seconds, got {accept_timeout}")
+            self._server.settimeout(accept_timeout)
             try:
                 conn, _ = self._server.accept()
             except socket.timeout:

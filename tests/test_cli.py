@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ismkit import ism
-from ismkit.cli import build_cli_config, build_parser, main
+from ismkit.cli import SETTINGS, build_cli_config, build_parser, main
 from ismkit.psychophysics import DEFAULT_MODEL, save_model, threshold_at
 from ismkit.session import Session, record
 from ismkit.signal import MultiChannelWaveform, Waveform
@@ -181,6 +181,19 @@ class TestConvert:
         assert capsys.readouterr().err.startswith("error[io]:")
 
     @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_reports_the_clipped_sample_count(self, tmp_path, capsys, encoding):
+        wav = tmp_path / "loud.wav"
+        _tone_wav(wav, 300.0, 3 * threshold_at(DEFAULT_MODEL, 300.0))
+        out = tmp_path / "out.wav"
+        assert main(["convert", str(wav), str(out), "--encoding", encoding]) == 0
+        converted = ism.convert(load_wav(wav), DEFAULT_MODEL).samples
+        over = int(np.count_nonzero(np.abs(converted) > 1.0))
+        assert over > 0
+        want = over if encoding == "pcm16" else 0
+        assert capsys.readouterr().out == (
+            f"converted samples={converted.size} clipped={want} out={out}\n")
+
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
     @pytest.mark.parametrize("n_channels", [1, 4])
     def test_each_channel_is_the_library_conversion(self, tmp_path, n_channels, encoding):
         wav = tmp_path / "in.wav"
@@ -317,6 +330,32 @@ class TestConfigFile:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error[usage]:")
 
 
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [key for key, (kind, *_) in SETTINGS.items()
+                                     if kind is float])
+    def test_exits_with_a_data_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} {value}\n")
+        out = str(tmp_path / "out")
+        if SETTINGS[key][3] is ism.IsmConfig:
+            wav = tmp_path / "w.wav"
+            save_wav(Waveform(np.zeros(1000), FS), wav)
+            argv = ["analyze", str(wav), "--out", out]
+        else:
+            poses = tmp_path / "poses.csv"
+            save_pose_csv([PoseSample(i * 10_000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                           for i in range(20)], poses)
+            profile = tmp_path / "profile.csv"
+            ism.save_profile_csv(ism.IntensityProfile(np.full(100, 0.5)), profile)
+            argv = ["render", str(poses), "--profile", str(profile), "--out", out]
+        code = main(["--config", str(config), *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error[data]: {key} must be a positive finite number")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestStreamLoopback:
     def test_session_round_trip_over_wire(self, tmp_path):
         from ismkit.session import record
@@ -403,6 +442,15 @@ class TestStreamLoopback:
         assert capsys.readouterr().err.startswith("error[data]: quaternion norm 2.0 ")
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert [p.t_us for p in Session.open(out).poses] == [0, 1]
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_stream_recv_timeout_must_be_positive_and_finite(self, tmp_path, capsys, timeout):
+        code = main(["stream-recv", "--endpoint", "127.0.0.1:0",
+                     "--out", str(tmp_path / "r.isms"), "--timeout", timeout])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[data]: accept timeout must be a positive finite number")
+        assert len(err.splitlines()) == 1
 
     def test_render_from_received_session(self, tmp_path):
         # a session holding both poses and intensities renders directly

@@ -6,11 +6,12 @@ from hypothesis.extra.numpy import arrays
 from ismkit.emd import (EmdConfig, _component_arrays, _extrema_rows, _has_extrema_rows,
                         emd_decompose)
 from ismkit.errors import DataError
-from ismkit.signal import SegmentGrid, Waveform, segment
+from ismkit.signal import Waveform
 
 from .reference_emd import dominant_freq, reference_sift
 
 FS = 5000.0
+SEG_LEN = 25  # samples in a 5 ms segment at FS
 
 
 def _tone(freq, duration=1.0, amp=1.0, phase=0.0):
@@ -47,9 +48,8 @@ class TestFindExtrema:
 
 def _crossings(x):
     """Zero crossings of x as one segment of a one-row _component_arrays call."""
-    grid = SegmentGrid(x.size, 1, x.size / FS)
-    _, freq, _ = _component_arrays(np.asarray(x, dtype=np.float64)[None], grid)
-    return round(freq[0, 0] * 2.0 * grid.segment_duration_s)
+    _, freq, _ = _component_arrays(np.asarray(x, dtype=np.float64)[None], x.size, x.size / FS)
+    return round(freq[0, 0] * 2.0 * x.size / FS)
 
 
 class TestZeroCrossings:
@@ -103,7 +103,8 @@ def _zero_rich_stacks(draw):
         lo = draw(st.integers(0, n))
         row[lo:lo + draw(st.integers(0, n))] = 0.0
         rows.append(row)
-    return np.stack(rows), offset, n_seg, seg_len
+    # the samples past the grid add a segment when they fill one
+    return np.stack(rows), offset, (n - offset) // seg_len, seg_len
 
 
 class TestCrossingCount:
@@ -112,13 +113,12 @@ class TestCrossingCount:
     @given(case=_zero_rich_stacks())
     def test_matches_brute_force_count(self, case):
         rows, offset, n_seg, seg_len = case
-        grid = SegmentGrid(seg_len, n_seg, seg_len / FS)
-        amp, freq, resolvable = _component_arrays(rows, grid, offset)
+        amp, freq, resolvable = _component_arrays(rows, seg_len, seg_len / FS, offset)
         for r, row in enumerate(rows):
             counts = np.array(_brute_crossings(row, offset, n_seg, seg_len))
             segs = row[offset:offset + n_seg * seg_len].reshape(n_seg, seg_len)
             want_amp = np.sqrt((2.0 / seg_len) * (segs ** 2).sum(axis=1))
-            assert np.array_equal(freq[r], counts / (2.0 * grid.segment_duration_s))
+            assert np.array_equal(freq[r], counts / (2.0 * seg_len / FS))
             assert np.array_equal(resolvable[r], counts >= 2)
             assert np.allclose(amp[r], want_amp, rtol=1e-14, atol=0.0)
 
@@ -242,30 +242,28 @@ class TestDecompose:
         assert len(result.imfs) <= 3
 
 
-def _components(imf_set, grid):
-    """(amplitude, frequency, resolvable), each (segments, IMFs), of an IMF set."""
+def _components(imf_set):
+    """(amplitude, frequency, resolvable), each (segments, IMFs), of an IMF set's 5 ms segments."""
     return [a.T for a in _component_arrays(
-        np.stack([imf.samples for imf in imf_set.imfs]), grid)]
+        np.stack([imf.samples for imf in imf_set.imfs]), SEG_LEN, SEG_LEN / FS)]
 
 
 class TestSegmentComponents:
     def test_one_period_sine_segment(self):
         w = Waveform(_tone(200.0, duration=0.005), FS)
         imf_set = emd_decompose(Waveform(_tone(200.0), FS))
-        grid = segment(Waveform(_tone(200.0), FS))
-        amp, freq, res = _components(imf_set, grid)
+        amp, freq, res = _components(imf_set)
         assert amp.shape[0] == 200
         # away from ends, first IMF
         assert res[100, 0]
         assert amp[100, 0] == pytest.approx(1.0, rel=0.02)
         assert freq[100, 0] == pytest.approx(200.0, abs=1.0)
-        assert len(w) == grid.segment_len_samples
+        assert len(w) == SEG_LEN
 
     def test_all_zero_segment_unresolvable(self):
         imf_set = emd_decompose(Waveform(np.concatenate([
             np.zeros(500), _tone(200.0, duration=0.2)]), FS))
-        grid = segment(Waveform(np.zeros(1500), FS))
-        amp, _, res = _components(imf_set, grid)
+        amp, _, res = _components(imf_set)
         assert not res[0, 0]
         assert amp[0, 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -273,14 +271,12 @@ class TestSegmentComponents:
         # 50 Hz has under 2 crossings in any 5 ms window
         x = _tone(50.0, duration=0.1)
         imf_set = emd_decompose(Waveform(x, FS))
-        grid = segment(Waveform(x, FS))
-        _, _, res = _components(imf_set, grid)
+        _, _, res = _components(imf_set)
         assert not res[:, 0].any()
 
     def test_amplitudes_non_negative(self):
         x = np.random.default_rng(9).standard_normal(1000)
         imf_set = emd_decompose(Waveform(x, FS))
-        grid = segment(Waveform(x, FS))
-        amp, freq, _ = _components(imf_set, grid)
+        amp, freq, _ = _components(imf_set)
         assert np.all(amp >= 0)
         assert np.all(freq >= 0)

@@ -9,7 +9,7 @@ from ismkit import emd, ism
 from ismkit.emd import EmdConfig, emd_decompose, emd_decompose_rows, _component_arrays
 from ismkit.errors import DataError
 from ismkit.scenario import Impact, SyntheticScenario, Waypoint, simulate
-from ismkit.signal import SegmentGrid, Waveform
+from ismkit.signal import Waveform
 
 from . import reference_sift
 from .reference_sift import envelope_mean, find_extrema, mirror_knots, reference_decompose
@@ -195,11 +195,10 @@ class TestComponentArraysRows:
             np.zeros(BUF + offset),
             np.where((n // 25) % 2 == 0, 0.0, tone),          # whole zero segments
         ])
-        grid = SegmentGrid(25, BUF // 25, 0.005)
-        stacked = _component_arrays(rows, grid, offset)
+        stacked = _component_arrays(rows, 25, 0.005, offset)
         assert not stacked[1][4].any()  # an all-zero span has no crossings
         for r in range(rows.shape[0]):
-            alone = _component_arrays(rows[r:r + 1], grid, offset)
+            alone = _component_arrays(rows[r:r + 1], 25, 0.005, offset)
             for a, b in zip(stacked, alone):
                 assert np.array_equal(a[r], b[0])
 

@@ -16,7 +16,7 @@ from ismkit import ism
 from ismkit.emd import EmdConfig
 from ismkit.errors import DataError
 from ismkit.psychophysics import amplitude_for_intensity, threshold_at
-from ismkit.signal import Waveform, lowfreq_extract
+from ismkit.signal import Waveform, lowfreq_extract, segment_length
 
 FS = 5000.0
 
@@ -28,6 +28,12 @@ def _tone(freq, duration=1.0, amp=1.0):
 
 def _steady(values, edge_segments=20):
     return values[edge_segments:-edge_segments]
+
+
+def _silence(profile):
+    """A zero low-frequency channel spanning a profile's segments at FS: carrier-only synthesis."""
+    return Waveform(np.zeros(len(profile) * segment_length(profile.segment_duration_ms, FS)),
+                    FS)
 
 
 class TestAnalyze:
@@ -67,13 +73,20 @@ class TestAnalyze:
     def test_lowfreq_matches_direct_extraction(self, u_model):
         x = Waveform(np.random.default_rng(0).standard_normal(1000), FS)
         result = ism.analyze(x, u_model)
-        direct = lowfreq_extract(x, 100.0)
+        direct = lowfreq_extract(x)
         assert np.array_equal(result.lowfreq.samples, direct.samples)
 
     def test_profile_covers_full_segments_of_partial_buffer(self, u_model):
         # 1.01 s = 202 segments = 10 full buffers + 2 extra segments
         result = ism.analyze(Waveform(np.zeros(5050), FS), u_model)
         assert len(result.profile) == 202
+
+    def test_tail_too_short_for_emd_is_dropped(self, u_model):
+        # at 1 kHz one 5-sample segment and its context sample are 6 samples,
+        # fewer than EMD needs; two segments (11 samples) are analyzed
+        x = np.random.default_rng(2).standard_normal(1410)
+        assert len(ism.analyze(Waveform(x[:1405], 1000.0), u_model).profile) == 280
+        assert len(ism.analyze(Waveform(x, 1000.0), u_model).profile) == 282
 
 
 class TestFuseChannels:
@@ -116,13 +129,13 @@ class TestFuseChannels:
 class TestSynthesize:
     def test_zero_profile(self, u_model):
         profile = ism.IntensityProfile(np.zeros(10))
-        out = ism.synthesize(profile, None, u_model, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         assert np.all(out.samples == 0.0)
         assert len(out) == 10 * 25
 
     def test_unit_intensity_amplitude(self, u_model):
         profile = ism.IntensityProfile(np.ones(40))
-        out = ism.synthesize(profile, None, u_model, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         a_t = threshold_at(u_model, 200.0)
         # steady segments after the first carry exactly the threshold amplitude
         seg = out.samples[30 * 25:31 * 25]
@@ -130,17 +143,17 @@ class TestSynthesize:
 
     def test_intensity_four_amplitude(self, u_model):
         profile = ism.IntensityProfile(np.full(40, 4.0))
-        out = ism.synthesize(profile, None, u_model, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         a_t = threshold_at(u_model, 200.0)
         seg = out.samples[30 * 25:31 * 25]
         assert np.sqrt(2 * np.mean(seg ** 2)) == pytest.approx(4 * a_t, rel=1e-6)
 
-    def test_periodic_without_crossfade(self, u_model):
-        config = ism.IsmConfig(crossfade=False)
+    def test_periodic_after_the_first_ramp(self, u_model):
         profile = ism.IntensityProfile(np.full(20, 2.0))
-        out = ism.synthesize(profile, None, u_model, config, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         x = out.samples
-        # at a 200 Hz carrier each 5 ms segment spans exactly one period
+        # at a 200 Hz carrier each 5 ms segment spans exactly one period; only
+        # the first segment ramps up from silence
         period = 25
         tail = x[period:]
         assert np.max(np.abs(tail[:-period] - tail[period:])) < 1e-9
@@ -149,8 +162,7 @@ class TestSynthesize:
         rng = np.random.default_rng(4)
         values = rng.uniform(0.0, 5.0, 60)
         profile = ism.IntensityProfile(values)
-        config = ism.IsmConfig(crossfade=True)
-        out = ism.synthesize(profile, None, u_model, config, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         x = out.samples
         amps = amplitude_for_intensity(values, 200.0, u_model)
         seg_len = 25
@@ -162,25 +174,25 @@ class TestSynthesize:
             assert jump <= 1.1 * localexc * bound + 1e-12
 
     def test_phase_continuity(self, u_model):
-        # constant-rate phase accumulation: unit-amplitude output is one long sine
+        # constant-rate phase accumulation: after the first segment's ramp from
+        # silence, unit-amplitude output is one long sine
         profile = ism.IntensityProfile(np.ones(20))
-        config = ism.IsmConfig(crossfade=False)
-        out = ism.synthesize(profile, None, u_model, config, sample_rate_hz=FS)
+        out = ism.synthesize(profile, _silence(profile), u_model)
         a_t = threshold_at(u_model, 200.0)
         n = np.arange(len(out))
         expected = a_t * np.sin(2 * np.pi * 200.0 * n / FS)
-        assert np.allclose(out.samples, expected, atol=1e-9 * a_t)
+        assert np.allclose(out.samples[25:], expected[25:], atol=1e-9 * a_t)
 
     def test_carrier_above_nyquist_rejected(self, u_model):
         profile = ism.IntensityProfile(np.ones(5))
         with pytest.raises(DataError):
-            ism.synthesize(profile, None, u_model,
-                           ism.IsmConfig(carrier_hz=3000.0), sample_rate_hz=FS)
+            ism.synthesize(profile, _silence(profile), u_model,
+                           ism.IsmConfig(carrier_hz=3000.0))
 
     def test_empty_profile_rejected(self, u_model):
         with pytest.raises(DataError):
-            ism.synthesize(ism.IntensityProfile(np.zeros(0)), None, u_model,
-                           sample_rate_hz=FS)
+            ism.synthesize(ism.IntensityProfile(np.zeros(0)), Waveform(np.zeros(25), FS),
+                           u_model)
 
 
 class TestConvert:
@@ -204,7 +216,7 @@ class TestConvert:
         assert np.max(result.profile.values) < 0.05  # unresolvable at 5 ms windows
         out = ism.convert(w, u_model)
         # output is essentially the low-passed original: no carrier got added
-        expected = lowfreq_extract(w, 100.0).samples[:len(out)]
+        expected = lowfreq_extract(w).samples[:len(out)]
         err = np.linalg.norm(out.samples - expected) / np.linalg.norm(expected)
         assert err < 1e-6
 
@@ -285,6 +297,17 @@ class TestIsmConfig:
         with pytest.raises(DataError):
             ism.IsmConfig(buffer_ms=101.0)
 
+    @pytest.mark.parametrize("field", ["carrier_hz", "buffer_ms", "segment_ms"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+    def test_floats_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(DataError, match=field):
+            ism.IsmConfig(**{field: value})
+
+    def test_buffer_of_no_whole_segment_rejected(self):
+        # 100 / 1e12 rounds to 0 segments per buffer
+        with pytest.raises(DataError):
+            ism.IsmConfig(segment_ms=1e12)
+
     def test_defaults(self):
         cfg = ism.IsmConfig()
         assert cfg.carrier_hz == 200.0
@@ -299,8 +322,8 @@ class TestIsmConfig:
         assert len(values) == 100
         steady = values[10:-10]
         assert np.median(steady) == pytest.approx(1.0, rel=0.1)
-        out = ism.synthesize(ism.analyze(w, u_model, cfg).profile, None,
-                             u_model, cfg, sample_rate_hz=FS)
+        profile = ism.analyze(w, u_model, cfg).profile
+        out = ism.synthesize(profile, _silence(profile), u_model, cfg)
         assert len(out) == 100 * 50
 
 
@@ -335,7 +358,7 @@ class TestParallelSplit:
     def test_split_equals_serial_block_loop(self, cpus, u_model, n_cpus, offset, rows_past):
         n_rows = ism.PARALLEL_MIN_ROWS + rows_past
         chunks = _stack(n_rows, offset)
-        args = (offset, 4, 25, 0.005, u_model, ism.IsmConfig())
+        args = (offset, 25, u_model, ism.IsmConfig())
         cpus(n_cpus)
         got = ism._start_intensities(chunks, *args)()
         assert (ism._pool is not None) == (n_rows >= ism.PARALLEL_MIN_ROWS)
@@ -346,7 +369,7 @@ class TestParallelSplit:
     def test_split_equals_serial_across_emd_configs(self, cpus, u_model, boundary):
         chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1, seed=boundary)
         cfg = ism.IsmConfig(emd=EmdConfig(boundary=boundary, sift_sd_threshold=0.05))
-        args = (1, 4, 25, 0.005, u_model, cfg)
+        args = (1, 25, u_model, cfg)
         cpus(2)
         got = ism._start_intensities(chunks, *args)()
         assert ism._pool is not None
@@ -354,7 +377,7 @@ class TestParallelSplit:
 
     def test_stays_serial_while_other_threads_run(self, cpus, u_model):
         chunks = _stack(ism.PARALLEL_MIN_ROWS, 1)
-        args = (1, 4, 25, 0.005, u_model, ism.IsmConfig())
+        args = (1, 25, u_model, ism.IsmConfig())
         cpus(2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -425,7 +448,7 @@ class TestParallelSplit:
 
     def test_pool_found_broken_before_handing_out_runs(self, cpus, u_model):
         chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1)
-        args = (1, 4, 25, 0.005, u_model, ism.IsmConfig())
+        args = (1, 25, u_model, ism.IsmConfig())
         cpus(2)
         want = ism._block_intensities(chunks, *args)
         assert np.array_equal(ism._start_intensities(chunks, *args)(), want)

@@ -120,10 +120,26 @@ class TestValidation:
     def test_largest_u64_timestamp_stored(self, tmp_path):
         path = tmp_path / "max.isms"
         record(path, poses=[PoseSample(2 ** 64 - 1, np.zeros(3), IDENTITY_Q)],
-               intensities=[(2 ** 64 - 1, 0.5)], channels=1)
+               intensities=[(2 ** 53, 0.5)], channels=1)
         session = Session.open(path)
         assert session.poses[0].t_us == 2 ** 64 - 1
-        assert session.intensities[0, 0] == float(2 ** 64 - 1)
+        assert session.intensities[0, 0] == 2 ** 53
+        session.save(tmp_path / "again.isms")
+        assert (tmp_path / "again.isms").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("t_us", [2 ** 53 + 1, 2 ** 64 - 1])
+    def test_intensity_timestamp_above_2_53_rejected(self, tmp_path, t_us):
+        """float64 holds every intensity timestamp up to 2**53 exactly, and no more."""
+        path = tmp_path / "big.isms"
+        with pytest.raises(DataError, match="2\\*\\*53"):
+            record(path, intensities=[(0, 1.0), (t_us, 1.0)], channels=1)
+        assert Session.open(path).intensities.tolist() == [[0.0, 1.0]]
+        # a file written by another recorder is refused when opened
+        with open(path, "ab") as fh:
+            fh.write(_CHUNK_HEADER.pack(TAG_INTENSITY, _INTS_RECORD.size)
+                     + _INTS_RECORD.pack(t_us, 1.0))
+        with pytest.raises(FileFormatError, match="2\\*\\*53"):
+            Session.open(path)
 
 
     def test_records_have_the_documented_layout(self, tmp_path):
@@ -521,13 +537,6 @@ class TestReplay:
                on_intensity=lambda t, v: events.append("ints"))
         assert events == ["pose", "ints"]
 
-    def test_start_offset_skips_early_events(self, tmp_path):
-        path = tmp_path / "off.isms"
-        self._timed_session(path, duration_s=2.0, n=20)
-        session = Session.open(path)
-        report = replay(session, ReplayClock(speed=math.inf, start_offset_s=1.0))
-        assert report.poses_delivered == 10
-
     def test_bad_speed_rejected(self):
         with pytest.raises(DataError):
             ReplayClock(speed=0.0)
@@ -546,7 +555,7 @@ class TestReplay:
         assert (report.poses_delivered, report.intensities_delivered) == (6, 9)
 
 
-def _brute_force_events(session, start_offset_s=0.0):
+def _brute_force_events(session):
     """The merge spelled out: sort by (time, pose first, stream order), hold the last value."""
     events = ([(p.t_us, 0, k, p) for k, p in enumerate(session.poses)]
               + [(int(t), 1, k, float(v)) for k, (t, v) in enumerate(session.intensities)])
@@ -555,8 +564,7 @@ def _brute_force_events(session, start_offset_s=0.0):
     for t, kind, _, payload in events:
         if kind == 1:
             held = payload
-        if t >= events[0][0] + int(start_offset_s * 1e6):
-            out.append((t, payload if kind == 0 else None, held))
+        out.append((t, payload if kind == 0 else None, held))
     return out
 
 
@@ -585,9 +593,8 @@ class TestReplayEvents:
         path = tmp_path / f"rand{seed}.isms"
         _hand_written_session(path, rng, n_poses, n_ints, n_chunks=3)
         session = Session.open(path)
-        for offset in (0.0, 0.0125, 0.03):
-            got = list(replay_events(session, ReplayClock(math.inf, start_offset_s=offset)))
-            assert got == _brute_force_events(session, offset)
+        got = list(replay_events(session, ReplayClock(math.inf)))
+        assert got == _brute_force_events(session)
 
     def test_hold_last_and_tie(self):
         poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in (0, 10, 10, 30)]

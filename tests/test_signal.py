@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import signal as sp_signal
 
 from ismkit.errors import DataError
+from ismkit.ism import analyze
 from ismkit.signal import (MultiChannelWaveform, Waveform, lowfreq_extract,
-                           lowpass_sos, segment)
+                           lowpass_sos, segment_length)
 
 
 class TestWaveform:
@@ -37,33 +38,45 @@ class TestWaveform:
             MultiChannelWaveform(chans)
 
 
+def _segment_count(n, rate):
+    """Segments in the profile analyze gives for n samples at rate."""
+    return len(analyze(Waveform(np.zeros(n), rate)).profile)
+
+
 class TestSegment:
     def test_one_second_at_5k(self):
-        grid = segment(Waveform(np.zeros(5000), 5000.0))
-        assert grid.segment_len_samples == 25
-        assert grid.segment_count == 200
+        assert segment_length(5.0, 5000.0) == 25
+        assert _segment_count(5000, 5000.0) == 200
 
     def test_partial_tail_dropped(self):
-        grid = segment(Waveform(np.zeros(5015), 5000.0))
-        assert grid.segment_count == 200
+        assert _segment_count(5015, 5000.0) == 200
 
     def test_48k(self):
-        grid = segment(Waveform(np.zeros(48000), 48000.0))
-        assert grid.segment_len_samples == 240
+        assert segment_length(5.0, 48000.0) == 240
+
+    @pytest.mark.parametrize("segment_ms, rate", [(0.2, 5000.0), (0.29, 5000.0), (1e308, 5000.0)])
+    def test_length_outside_2_to_finite_rejected(self, segment_ms, rate):
+        with pytest.raises(DataError, match="need 2 to a finite count"):
+            segment_length(segment_ms, rate)
 
     def test_too_short(self):
         with pytest.raises(DataError):
-            segment(Waveform(np.zeros(10), 5000.0))
+            analyze(Waveform(np.zeros(10), 5000.0))
 
-    @given(n=st.integers(min_value=25, max_value=100000),
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=25, max_value=20000),
            rate=st.sampled_from([1000.0, 5000.0, 8000.0, 44100.0, 48000.0]))
     def test_grid_covers_signal(self, n, rate):
         seg_len = int(round(0.005 * rate))
-        if n < seg_len:
+        if n < 20 * seg_len:  # shorter than one 100 ms buffer
+            with pytest.raises(DataError):
+                analyze(Waveform(np.zeros(n), rate))
             return
-        grid = segment(Waveform(np.zeros(n), rate))
-        assert grid.segment_count * grid.segment_len_samples <= n
-        assert n < (grid.segment_count + 1) * grid.segment_len_samples
+        # a trailing partial buffer's segments, dropped when they and their
+        # context sample are fewer than the 8 samples EMD needs
+        trailing = n % (20 * seg_len) // seg_len
+        dropped = trailing if 1 + trailing * seg_len < 8 else 0
+        assert _segment_count(n, rate) == n // seg_len - dropped
 
 
 class TestLowfreqExtract:
@@ -84,20 +97,21 @@ class TestLowfreqExtract:
         ratio = self._steady_rms_ratio(200.0)
         assert 20 * np.log10(ratio) <= -20.0
         # oracle: the designed filter's frequency response at 200 Hz
-        sos = lowpass_sos(100.0, 5000.0)
+        sos = lowpass_sos(5000.0)
         _, h = sp_signal.sosfreqz(sos, worN=[200.0], fs=5000.0)
         assert ratio == pytest.approx(abs(h[0]), rel=1e-3)
 
     def test_10hz_within_1db(self):
         ratio = self._steady_rms_ratio(10.0)
         assert abs(20 * np.log10(ratio)) <= 1.0
-        sos = lowpass_sos(100.0, 5000.0)
+        sos = lowpass_sos(5000.0)
         _, h = sp_signal.sosfreqz(sos, worN=[10.0], fs=5000.0)
         assert ratio == pytest.approx(abs(h[0]), rel=1e-3)
 
     def test_cutoff_at_nyquist_rejected(self):
+        # at 200 Hz the 100 Hz cutoff is the Nyquist frequency
         with pytest.raises(DataError):
-            lowfreq_extract(Waveform(np.zeros(100), 5000.0), cutoff_hz=2500.0)
+            lowfreq_extract(Waveform(np.zeros(100), 200.0))
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(-5, 5, allow_nan=False), b=st.floats(-5, 5, allow_nan=False),

@@ -544,10 +544,10 @@ class TestLoopback:
             sender.send(Frame(i, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
                               float(i), (0, 0, 0)))
         assert sender.drops == 90
-        queued = [m for m in sender._queue if isinstance(m, Frame)]
-        assert [f.t_us for f in queued] == list(range(90, 100))
-        # the control message survived at the front
-        assert isinstance(sender._queue[0], Hello)
+        # the newest frames are queued, behind the control message, which survived
+        assert list(sender._encoded) == [encode(Hello(4, 5000, 50))] + [
+            encode(Frame(i, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), float(i), (0, 0, 0)))
+            for i in range(90, 100)]
 
         # when the receiver recovers, the newest frames arrive in order
         listener = Listener("127.0.0.1:0")
@@ -610,6 +610,13 @@ class TestLoopback:
             listener.receive(lambda message: None, accept_timeout=0.1)
         assert listener._server.fileno() == -1
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_accept_timeout_must_be_positive_and_finite(self, timeout):
+        listener = Listener("127.0.0.1:0")
+        with pytest.raises(DataError, match="accept timeout"):
+            listener.receive(lambda message: None, accept_timeout=timeout)
+        assert listener._server.fileno() == -1
+
 
 def _frame_of(t_us: int) -> Frame:
     return Frame(t_us, (0.0, 0.0, t_us * 1e-6), (1.0, 0.0, 0.0, 0.0), 0.5, (1, 2, 3))
@@ -663,7 +670,7 @@ class TestSenderQueue:
         notify_all = sender._wake.notify_all
 
         def counting_notify_all():
-            wakes.append(len(sender._queue))
+            wakes.append(len(sender._encoded))
             notify_all()
 
         sender._wake.notify_all = counting_notify_all
@@ -677,7 +684,7 @@ class TestSenderQueue:
         for bad in (object(), None, b"ISMP", (1, 2)):
             with pytest.raises(DataError, match="not a wire message"):
                 sender.send(bad)
-        assert not sender._queue
+        assert not sender._encoded
         sender.close()
 
     def test_send_after_close_raises_protocol_error(self):
@@ -686,7 +693,7 @@ class TestSenderQueue:
         for message in (_frame_of(1), Hello(4, 5000, 50), End()):
             with pytest.raises(ProtocolError, match="closed"):
                 sender.send(message)
-        assert not sender._queue
+        assert not sender._encoded
 
     def test_close_refuses_a_producer_blocked_on_a_full_queue(self):
         sender = FrameSender(queue_capacity=1, policy="block")
@@ -709,7 +716,7 @@ class TestSenderQueue:
         producer.join(30.0)
         assert not producer.is_alive()
         assert len(errors) == 1
-        assert list(sender._queue) == [_frame_of(0)]
+        assert list(sender._encoded) == [encode(_frame_of(0))]
 
     @pytest.mark.parametrize("policy", ["block", "drop-oldest"])
     def test_send_after_the_writer_failed_raises_protocol_error(self, policy):
@@ -732,13 +739,13 @@ class TestSenderQueue:
                     break
         assert sender.error is not None
         assert str(raised.value) == f"send after the writer failed: {sender.error}"
-        assert len(sender._queue) <= 8
+        assert len(sender._encoded) <= 8
         for message in (_frame_of(0), Hello(4, 5000, 50), End()):
             with pytest.raises(ProtocolError, match="writer failed"):
                 sender.send(message)
         report = sender.close()
         assert report.error == sender.error
-        assert not sender._queue
+        assert not sender._encoded
 
     def test_second_close_sends_no_second_end(self):
         listener = Listener("127.0.0.1:0")
@@ -752,7 +759,7 @@ class TestSenderQueue:
         report = sender.close()
         assert report == SenderReport(sent=3, drops=0)
         assert sender.close() == report
-        assert not sender._queue
+        assert not sender._encoded
         receiver.join(30.0)
         assert not receiver.is_alive()
         assert not errors
@@ -770,7 +777,7 @@ class TestSenderQueue:
             sent.append(message)
         data = [m for m in sent if not isinstance(m, Hello)]
         survivors = [m for m in sent if isinstance(m, Hello) or m in data[-capacity:]]
-        assert list(sender._queue) == survivors
+        assert list(sender._encoded) == [encode(m) for m in survivors]
         assert sender.drops == len(data) - capacity
         writes = []
         sendall = socket.socket.sendall
