@@ -24,7 +24,7 @@ from .errors import (DataError, FileFormatError, IsmkitError, ProtocolError, Usa
 from .scenario import load_scenario, simulate
 from .signal import MultiChannelWaveform, Waveform
 from .trajectory import (IDENTITY_CALIBRATION, PoseSample, TrajectoryConfig,
-                         TrajectoryPoint, build_trajectory, export_ply,
+                         aligned_intensity, build_trajectory, export_ply,
                          load_calibration, load_pose_csv, pivot_calibrate,
                          save_calibration, save_pose_csv)
 from .wavio import load_wav, save_wav
@@ -127,29 +127,33 @@ def _channels(loaded: Waveform | MultiChannelWaveform) -> tuple[Waveform, ...]:
     return loaded.channels if isinstance(loaded, MultiChannelWaveform) else (loaded,)
 
 
+def _record_analysis(path, channels: tuple[Waveform, ...], profile: ism.IntensityProfile,
+                     config: ism.IsmConfig, model_id: str, **streams) -> dict:
+    """Record the channels and their profile, one intensity per segment midpoint."""
+    return sess.record(
+        path, vibration=np.stack([ch.samples for ch in channels], axis=1),
+        intensities=[(int(round(t_s * 1e6)), float(value)) for t_s, value
+                     in zip(profile.midpoints_s(), profile.values)],
+        sample_rate_hz=channels[0].sample_rate_hz, segment_ms=config.segment_ms,
+        model_id=model_id, **streams)
+
+
 def cmd_analyze(args) -> int:
     cfg = build_cli_config(args)
-    model = cfg.model()
     channels = _channels(load_wav(args.input))
-    config = cfg.ism_config()
+    model, config = cfg.model(), cfg.ism_config()
     # the mean of one profile is that profile, bit for bit
     profile = ism.fuse_channels([ism.analyze(ch, model, config).profile for ch in channels])
-    ism.save_profile_csv(profile, args.out)
     if args.session:
-        sess.record(args.session,
-                    vibration=np.stack([ch.samples for ch in channels], axis=1),
-                    intensities=[(int(round(t_s * 1e6)), float(value)) for t_s, value
-                                 in zip(profile.midpoints_s(), profile.values)],
-                    sample_rate_hz=channels[0].sample_rate_hz,
-                    segment_ms=config.segment_ms, model_id=cfg.model_path or "builtin")
+        _record_analysis(args.session, channels, profile, config, cfg.model_path or "builtin")
+    ism.save_profile_csv(profile, args.out)
     print(f"analyzed segments={len(profile)} out={args.out}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
     cfg = build_cli_config(args)
-    model = cfg.model()
-    config = cfg.ism_config()
+    model, config = cfg.model(), cfg.ism_config()
     converted = tuple(ism.convert(ch, model, config) for ch in _channels(load_wav(args.input)))
     clipped = save_wav(converted[0] if len(converted) == 1 else MultiChannelWaveform(converted),
                        args.out, encoding=args.encoding)
@@ -157,10 +161,20 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _profile_from_intensities(intensities: np.ndarray) -> ism.IntensityProfile:
+def _profile_from_intensities(intensities: np.ndarray) -> ism.IntensityProfile | None:
+    """The profile of (t_us, value) rows taken in time order; None for no rows."""
     if intensities.shape[0] == 0:
-        raise DataError("session has no intensity stream; pass --profile")
-    return ism.profile_from_times(intensities[:, 0] / 1e6, intensities[:, 1])
+        return None
+    rows = intensities[np.argsort(intensities[:, 0], kind="stable")]
+    return ism.profile_from_times(rows[:, 0] / 1e6, rows[:, 1])
+
+
+def _render(poses, profile, cfg: CliConfig, out, calibration=IDENTITY_CALIBRATION) -> int:
+    """Write the coloured trajectory of poses to a PLY; returns its point count."""
+    points = build_trajectory(poses, profile, calibration=calibration,
+                              norm=cfg.norm(), config=cfg.trajectory_config())
+    export_ply(points, out)
+    return len(points)
 
 
 def cmd_render(args) -> int:
@@ -170,29 +184,31 @@ def cmd_render(args) -> int:
         poses = session.poses
         profile = (ism.load_profile_csv(args.profile) if args.profile
                    else _profile_from_intensities(session.intensities))
+        if profile is None:
+            raise DataError("session has no intensity stream; pass --profile")
     else:
         poses = load_pose_csv(args.input)
         if not args.profile:
             raise UsageError("pose CSV input requires --profile")
         profile = ism.load_profile_csv(args.profile)
-    calibration = load_calibration(args.calibration) if args.calibration \
-        else IDENTITY_CALIBRATION
-    points = build_trajectory(poses, profile, calibration=calibration,
-                              norm=cfg.norm(), config=cfg.trajectory_config())
-    export_ply(points, args.out)
-    print(f"rendered points={len(points)} out={args.out}")
+    calibration = load_calibration(args.calibration) if args.calibration else IDENTITY_CALIBRATION
+    points = _render(poses, profile, cfg, args.out, calibration)
+    print(f"rendered points={points} out={args.out}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     vibration, poses = simulate(scenario, seed=args.seed)
-    summary = sess.record(
-        args.out, vibration=np.stack([ch.samples for ch in vibration.channels], axis=1),
-        poses=poses, meta={"scenario": str(args.scenario), "seed": str(args.seed)},
-        sample_rate_hz=scenario.sample_rate_hz, model_id="simulated")
+    # analyzed in float32, as recorded, so analyze --session of its WAV agrees
+    channels = tuple(Waveform(ch.samples.astype(np.float32), ch.sample_rate_hz)
+                     for ch in vibration.channels)
+    config = ism.IsmConfig()
+    profile = ism.fuse_channels([ism.analyze(ch, config=config).profile for ch in channels])
+    summary = _record_analysis(args.out, channels, profile, config, "builtin", poses=poses,
+                               meta={"scenario": str(args.scenario), "seed": str(args.seed)})
     print(f"simulated duration_s={summary['vibration_duration_s']:g} "
-          f"poses={summary['poses']} out={args.out}")
+          f"poses={summary['poses']} intensities={summary['intensities']} out={args.out}")
     return EXIT_OK
 
 
@@ -206,47 +222,46 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _hello(session: sess.Session) -> wire.Hello:
-    return wire.Hello(channels=session.channels,
-                      sample_rate_hz=int(round(session.sample_rate_hz)),
-                      segment_ms_x10=int(round(session.segment_ms * 10)))
-
-
-def _message(t_us: int, pose: PoseSample | None, intensity: float,
-             norm: NormalizationConfig) -> wire.WireMessage:
-    """The wire message for one replay event: a colored Frame for a pose."""
-    if pose is None:
-        return wire.IntensityOnly(t_us, intensity)
-    return wire.Frame(t_us=t_us, position=pose.position,
-                      quaternion=pose.orientation, intensity=intensity,
-                      rgb=map_color(normalize(intensity, norm)))
-
-
 def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None,
-            norm: NormalizationConfig, sink=None) -> float:
-    """Replay a session's (t_us, pose, intensity) events to sink and, given an
-    endpoint, over the wire after a Hello; returns the event loop's wall time.
+            cfg: CliConfig, sink=None) -> float:
+    """Replay a session's replay_events to sink and, given an endpoint, over the
+    wire after a Hello; returns the event loop's wall time.
 
-    Every intensity is checked before the sender connects, so a bad session
-    sends nothing. Unpaced replay is a bulk transfer and loses nothing; paced
-    replay is a live feed, where the oldest queued frames make way.
+    A pose's Frame carries the intensity render gives it (0.0 with no
+    intensity stream), found with every intensity checked before the sender
+    connects, so a bad session sends nothing. Unpaced replay is a bulk
+    transfer and loses nothing; paced replay is a live feed, where the
+    oldest queued frames make way.
     """
     sender = None
     if endpoint:
-        values = session.intensities[:, 1]
-        if not (np.isfinite(values) & (values >= 0)).all():
-            raise DataError("session intensities must be finite and non-negative")
+        hello = wire.Hello(session.channels, int(round(session.sample_rate_hz)),
+                           int(round(session.segment_ms * 10)))
+        profile = _profile_from_intensities(session.intensities)
+        # replay_events yields the poses in this order, a stable sort by time
+        poses = sorted(session.poses, key=lambda pose: pose.t_us)
+        values = (np.zeros(len(poses)) if profile is None
+                  else aligned_intensity(poses, profile, cfg.trajectory_config()))
+        pose_values = iter(values.tolist())
+        norm = cfg.norm()
         sender = wire.FrameSender(
             endpoint, policy="block" if math.isinf(clock.speed) else "drop-oldest")
     try:
         if sender is not None:
-            sender.send(_hello(session))
+            sender.send(hello)
         start_wall = time.monotonic()
         for event in sess.replay_events(session, clock):
             if sink is not None:
                 sink(event)
-            if sender is not None:
-                sender.send(_message(*event, norm))
+            if sender is None:
+                continue
+            t_us, pose, value = event
+            if pose is None:
+                sender.send(wire.IntensityOnly(t_us, value))
+            else:
+                value = next(pose_values)
+                sender.send(wire.Frame(t_us, pose.position, pose.orientation, value,
+                                       map_color(normalize(value, norm))))
         wall_s = time.monotonic() - start_wall
     except BaseException:
         # a cut stream ends without End, so the peer does not take it for whole
@@ -264,38 +279,36 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
 def cmd_stream_send(args) -> int:
     cfg = build_cli_config(args)
     if not cfg.endpoint:
-        raise UsageError("no endpoint given (flag --endpoint, config, or "
-                         f"{ENDPOINT_ENV})")
+        raise UsageError(f"no endpoint given (flag --endpoint, config, or {ENDPOINT_ENV})")
     session = sess.Session.open(args.session)
-    _replay(session, sess.ReplayClock(speed=math.inf), cfg.endpoint, cfg.norm())
+    _replay(session, sess.ReplayClock(speed=math.inf), cfg.endpoint, cfg)
     return EXIT_OK
 
 
 def cmd_stream_recv(args) -> int:
     cfg = build_cli_config(args)
-    endpoint = cfg.endpoint
-    if not endpoint:
+    if not cfg.endpoint:
         raise UsageError("no endpoint given")
-    listener = wire.Listener(endpoint)
+    listener = wire.Listener(cfg.endpoint)
     received: list[wire.WireMessage] = []
     stats = listener.receive(received.append, accept_timeout=args.timeout)
     out = str(args.out)
     if out.endswith(".ply"):
-        points = [TrajectoryPoint(m.t_us, np.array(m.position), m.intensity, m.rgb)
-                  for m in received if isinstance(m, wire.Frame)]
-        export_ply(points, out)
+        poses = [PoseSample(m.t_us, m.position, m.quaternion)
+                 for m in received if isinstance(m, wire.Frame)]
+        ints = np.array([(m.t_us, m.intensity) for m in received
+                         if isinstance(m, wire.IntensityOnly)], dtype=np.float64)
+        profile = _profile_from_intensities(ints.reshape(-1, 2))
+        if profile is None:
+            raise DataError("stream has no IntensityOnly messages")
+        _render(poses, profile, cfg, out)
     else:
-        hello = next((m for m in received if isinstance(m, wire.Hello)), None)
-        with sess.SessionWriter(
-                out,
-                sample_rate_hz=hello.sample_rate_hz if hello else 5000.0,
-                channels=hello.channels if hello else 4,
-                segment_ms=hello.segment_ms_x10 / 10.0 if hello else 5.0,
-                model_id="received") as writer:
+        hello = next((m for m in received if isinstance(m, wire.Hello)), wire.Hello(4, 5000, 50))
+        with sess.SessionWriter(out, hello.sample_rate_hz, hello.channels,
+                                hello.segment_ms_x10 / 10.0, model_id="received") as writer:
             for m in received:
                 if isinstance(m, wire.Frame):
                     writer.append_pose(PoseSample(m.t_us, m.position, m.quaternion))
-                    writer.append_intensity(m.t_us, m.intensity)
                 elif isinstance(m, wire.IntensityOnly):
                     writer.append_intensity(m.t_us, m.intensity)
     print(f"received={stats.messages} frames={stats.frames} "
@@ -308,7 +321,7 @@ def cmd_replay(args) -> int:
     session = sess.Session.open(args.session)
     endpoint = cfg.endpoint if args.endpoint or args.to_wire else None
     events: list[tuple] = []
-    wall_s = _replay(session, sess.ReplayClock(speed=args.speed), endpoint, cfg.norm(),
+    wall_s = _replay(session, sess.ReplayClock(speed=args.speed), endpoint, cfg,
                      events.append)
     poses = [pose for _, pose, _ in events if pose is not None]
     times_s = [t_us / 1e6 for t_us, pose, _ in events if pose is None]
@@ -317,8 +330,7 @@ def cmd_replay(args) -> int:
         save_pose_csv(poses, args.pose_csv)
     if args.intensity_csv:
         ism.save_intensity_csv(times_s, values, args.intensity_csv)
-    print(f"replayed poses={len(poses)} intensities={len(values)} "
-          f"wall_s={wall_s:.3f}")
+    print(f"replayed poses={len(poses)} intensities={len(values)} wall_s={wall_s:.3f}")
     return EXIT_OK
 
 

@@ -88,6 +88,9 @@ class SessionWriter:
                  segment_ms: float = 5.0, model_id: str = ""):
         if channels < 1 or channels > 255:
             raise DataError(f"channel count {channels} out of range")
+        for name, value in (("sample rate", sample_rate_hz), ("segment length", segment_ms)):
+            if not 0 < value < math.inf:
+                raise DataError(f"{name} must be a positive finite number, got {value}")
         self.path = path
         self.sample_rate_hz = float(sample_rate_hz)
         self.channels = channels
@@ -240,6 +243,9 @@ class Session:
                 raise FileFormatError(f"{path}: not a session file (bad magic)")
             if version != FORMAT_VERSION:
                 raise FileFormatError(f"{path}: unsupported format version {version}")
+            if not (channels and 0 < rate < math.inf and 0 < segment_ms < math.inf):
+                raise FileFormatError(f"{path}: header needs channels and a positive finite "
+                                      f"rate and segment, got {channels}, {rate}, {segment_ms}")
             ident = fh.read(ident_len)
             if len(ident) < ident_len:
                 raise FileFormatError(f"{path}: truncated model identifier")
@@ -349,13 +355,12 @@ def record(path, *, vibration: np.ndarray | None = None,
 
 
 def replay_events(session: Session, clock: ReplayClock | None = None):
-    """Yield (t_us, pose or None, intensity) for every event, in timestamp order, paced.
+    """Yield (t_us, pose, None) or (t_us, None, intensity) per event, in timestamp order, paced.
 
     Poses and intensities merge by timestamp, a pose first on a tie, and
-    each stream keeps its own order among equal timestamps. A pose event
-    carries the last intensity before it (0.0 before the first); an
-    intensity event carries its own value. Delivery is paced by timestamp
-    deltas / speed; speed=inf yields the identical sequence without waiting.
+    each stream keeps its own order among equal timestamps. Delivery is
+    paced by timestamp deltas / speed; speed=inf yields the identical
+    sequence without waiting.
     """
     clock = clock or ReplayClock()
     poses = session.poses
@@ -376,37 +381,20 @@ def replay_events(session: Session, clock: ReplayClock | None = None):
     t0 = int(t[order[0]])
     paced = math.isfinite(clock.speed)
     start_wall = time.monotonic()
-    held = 0.0
     for i, t_us in zip(order.tolist(), t[order].tolist()):
-        if i >= n_poses:
-            held = values[i - n_poses]
         if paced:
             delay = start_wall + (t_us - t0) / 1e6 / clock.speed - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        yield t_us, (poses[i] if i < n_poses else None), held
-
-
-@dataclass
-class ReplayReport:
-    poses_delivered: int = 0
-    intensities_delivered: int = 0
-    wall_time_s: float = 0.0
+        yield (t_us, poses[i], None) if i < n_poses else (t_us, None, values[i - n_poses])
 
 
 def replay(session: Session, clock: ReplayClock | None = None,
-           on_pose=None, on_intensity=None) -> ReplayReport:
+           on_pose=None, on_intensity=None) -> None:
     """Deliver replay_events to callbacks: on_pose(pose), on_intensity(t_us, value)."""
-    report = ReplayReport()
-    start_wall = time.monotonic()
     for t_us, pose, value in replay_events(session, clock):
         if pose is not None:
-            report.poses_delivered += 1
             if on_pose is not None:
                 on_pose(pose)
-        else:
-            report.intensities_delivered += 1
-            if on_intensity is not None:
-                on_intensity(t_us, value)
-    report.wall_time_s = time.monotonic() - start_wall
-    return report
+        elif on_intensity is not None:
+            on_intensity(t_us, value)

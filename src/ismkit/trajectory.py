@@ -216,10 +216,8 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
 
     A pose is emitted only when its tip has moved at least min_spacing_m from
     the last emitted point AND at least 1/max_point_rate_hz has elapsed.
-    Intensity comes from the profile segment whose midpoint is nearest the
-    pose timestamp (within align_tolerance_ms; the earlier one on a tie);
-    outside the tolerance the last known intensity is held, starting from
-    zero. Everything but the sequential decimation runs over whole arrays.
+    Each point takes its pose's aligned_intensity and that value's colour.
+    Everything but the sequential decimation runs over whole arrays.
     """
     if not poses:
         raise DataError("empty pose stream")
@@ -230,8 +228,7 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
         if t <= prev:
             raise DataError(f"pose timestamps not strictly increasing at t_us={t}")
 
-    intensity = _aligned_intensity(np.array(t_us, dtype=np.float64) / 1e6, profile,
-                                   config.align_tolerance_ms / 1000.0)
+    intensity = aligned_intensity(poses, profile, config)
     # a stacked matmul forms each pose's product as tip_position's does
     tips = (np.array([p.position for p in poses])
             + np.matmul(quat_to_matrix(np.array([p.orientation for p in poses])),
@@ -246,9 +243,12 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
     return points
 
 
-def _aligned_intensity(t_s: np.ndarray, profile: IntensityProfile,
-                       tol_s: float) -> np.ndarray:
-    """Per pose, the value of the nearest segment midpoint within tol_s, held forward."""
+def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile,
+                      config: TrajectoryConfig) -> np.ndarray:
+    """Per pose, the value of the nearest profile segment midpoint within
+    align_tolerance_ms (the earlier on a tie), else the last such value, from 0."""
+    t_s = np.array([p.t_us for p in poses], dtype=np.float64) / 1e6
+    tol_s = config.align_tolerance_ms / 1000.0
     midpoints = profile.midpoints_s()
     n = midpoints.size
     j = np.searchsorted(midpoints, t_s)

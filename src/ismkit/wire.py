@@ -51,6 +51,7 @@ MAGIC = b"ISMP"
 PROTOCOL_VERSION = 1
 HEADER_SIZE = 9
 MAX_SKIP_PAYLOAD = 65535
+CONNECT_TIMEOUT_S = 5.0
 
 TYPE_HELLO = 1
 TYPE_FRAME = 2
@@ -383,14 +384,13 @@ class FrameSender:
     """
 
     def __init__(self, endpoint: str | None = None, queue_capacity: int = 256,
-                 policy: str = "drop-oldest", connect_timeout: float = 5.0):
+                 policy: str = "drop-oldest"):
         if queue_capacity < 1:
             raise DataError("queue capacity must be >= 1")
         if policy not in ("drop-oldest", "block"):
             raise DataError(f"unknown queue policy {policy!r}")
         self._capacity = queue_capacity
         self._policy = policy
-        self._connect_timeout = connect_timeout
         self._encoded: deque[bytes] = deque()  # each queued message, encoded
         self._n_droppable = 0  # capacity bounds frames; control messages ride along
         self._lock = threading.Lock()
@@ -407,7 +407,7 @@ class FrameSender:
     def connect(self, endpoint: str) -> None:
         host, port = parse_endpoint(endpoint)
         try:
-            self._sock = socket.create_connection((host, port), timeout=self._connect_timeout)
+            self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to {endpoint}: {exc}") from exc
         self._sock.settimeout(None)

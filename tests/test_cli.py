@@ -1,16 +1,24 @@
+import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from ismkit import ism
+from ismkit import ism, wire
 from ismkit.cli import SETTINGS, build_cli_config, build_parser, main
+from ismkit.colormap import NormalizationConfig, map_color, normalize
+from ismkit.errors import ProtocolError
 from ismkit.psychophysics import DEFAULT_MODEL, save_model, threshold_at
+from ismkit.scenario import load_scenario, simulate
 from ismkit.session import Session, record
 from ismkit.signal import MultiChannelWaveform, Waveform
-from ismkit.trajectory import PoseSample, load_ply, save_pose_csv
+from ismkit.trajectory import (PoseSample, TrajectoryConfig, aligned_intensity,
+                               build_trajectory, load_ply, save_pose_csv)
 from ismkit.wavio import load_wav, save_wav
+
+from .test_session import _hand_written_session
 
 FS = 5000.0
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -34,6 +42,47 @@ noise_band_hz 390 410
 waypoint 0 0 0 0
 waypoint 0.5 0 0 0.3
 """
+
+
+def _free_endpoint() -> str:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    endpoint = f"127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()
+    return endpoint
+
+
+def _stream_recv_while(send, recv_argv) -> int:
+    """Run stream-recv on a free endpoint while send(endpoint) sends to it.
+
+    send returns False while nothing listens there yet; returns
+    stream-recv's exit code.
+    """
+    endpoint = _free_endpoint()
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(
+        ["stream-recv", "--endpoint", endpoint, "--timeout", "20", *recv_argv])))
+    thread.start()
+    deadline = time.monotonic() + 20.0
+    while not send(endpoint) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    thread.join(30.0)
+    assert not thread.is_alive()
+    return codes[0]
+
+
+def _send_messages(messages):
+    """A send for _stream_recv_while: these messages and End, once a receiver listens."""
+    def send(endpoint):
+        try:
+            sender = wire.FrameSender(endpoint, policy="block")
+        except ProtocolError:
+            return False
+        for message in messages:
+            sender.send(message)
+        sender.close()
+        return True
+    return send
 
 
 def _tone_wav(path, freq, amp, duration=1.0):
@@ -253,6 +302,22 @@ class TestSimulate:
         assert main(["simulate", str(scn), "--out", str(b), "--seed", "9"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_records_the_analysis_of_its_vibration(self, tmp_path, capsys):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(SCENARIO)
+        sim = tmp_path / "sim.isms"
+        assert main(["simulate", str(scn), "--out", str(sim), "--seed", "9"]) == 0
+        session = Session.open(sim)
+        assert f" intensities={session.intensities.shape[0]} " in capsys.readouterr().out
+        wav = tmp_path / "sim.wav"
+        save_wav(MultiChannelWaveform(tuple(Waveform(session.vibration[:, c], FS)
+                                            for c in range(4))), wav)
+        analyzed = tmp_path / "analyzed.isms"
+        assert main(["analyze", str(wav), "--out", str(tmp_path / "p.csv"),
+                     "--session", str(analyzed)]) == 0
+        assert session.model_id == Session.open(analyzed).model_id == "builtin"
+        assert np.array_equal(session.intensities, Session.open(analyzed).intensities)
+
     def test_malformed_scenario_reports_line(self, tmp_path, capsys):
         scn = tmp_path / "bad.txt"
         scn.write_text("duration_s 1\nnot_a_key 2\nwaypoint 0 0 0 0\n")
@@ -396,7 +461,80 @@ class TestStreamLoopback:
         assert results["code"] == 0
         received = Session.open(out)
         assert len(received.poses) == 50
-        assert received.intensities.shape[0] == 100  # 50 frames + 50 intensity-only
+        assert received.intensities.shape[0] == 50
+
+    def test_received_session_renders_as_its_source(self, tmp_path):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(SCENARIO)
+        vibration, poses = simulate(load_scenario(scn), seed=305)
+        profile = ism.fuse_channels([ism.analyze(ch).profile for ch in vibration.channels])
+        src = tmp_path / "src.isms"
+        record(src, vibration=np.stack([ch.samples for ch in vibration.channels], axis=1),
+               poses=poses, intensities=[(int(round(t_s * 1e6)), float(value)) for t_s, value
+                                         in zip(profile.midpoints_s(), profile.values)],
+               sample_rate_hz=FS)
+        imax = ["--imax", "3"]
+        send_codes = []
+
+        def send(endpoint):
+            send_codes.append(main(["stream-send", str(src), "--endpoint", endpoint, *imax]))
+            return send_codes[-1] != 4  # 4: nothing listens there yet
+
+        for out in ("recv.isms", "streamed.ply"):
+            assert _stream_recv_while(send, ["--out", str(tmp_path / out), *imax]) == 0
+            assert send_codes[-1] == 0
+        source, received = Session.open(src), Session.open(tmp_path / "recv.isms")
+        assert ([(p.t_us, *p.position, *p.orientation) for p in received.poses]
+                == [(p.t_us, *p.position, *p.orientation) for p in source.poses])
+        assert np.array_equal(received.intensities, source.intensities)
+        for name in ("src", "recv"):
+            assert main(["render", str(tmp_path / f"{name}.isms"),
+                         "--out", str(tmp_path / f"{name}.ply"), *imax]) == 0
+        rendered = (tmp_path / "src.ply").read_bytes()
+        assert (tmp_path / "recv.ply").read_bytes() == rendered
+        assert (tmp_path / "streamed.ply").read_bytes() == rendered
+
+        # every Frame at a pose render kept carries that PLY row's colour
+        listener = wire.Listener("127.0.0.1:0")
+        messages = []
+        thread = threading.Thread(target=lambda: listener.receive(messages.append))
+        thread.start()
+        assert main(["stream-send", str(src), "--endpoint", listener.endpoint, *imax]) == 0
+        thread.join(30.0)
+        frame_rgb = {m.t_us: m.rgb for m in messages if isinstance(m, wire.Frame)}
+        kept = build_trajectory(source.poses, ism.profile_from_times(
+            source.intensities[:, 0] / 1e6, source.intensities[:, 1]),
+            norm=NormalizationConfig(3.0))
+        _, colours = load_ply(tmp_path / "src.ply")
+        assert [frame_rgb[p.t_us] for p in kept] == [tuple(c) for c in colours.tolist()]
+        assert len({tuple(c) for c in colours.tolist()}) > 1
+
+    def test_frames_of_an_out_of_order_session_carry_their_own_colour(self, tmp_path):
+        path = tmp_path / "shuffled.isms"
+        _hand_written_session(path, np.random.default_rng(7), n_poses=40, n_ints=15,
+                              n_chunks=3)
+        session = Session.open(path)
+        pose_t = [p.t_us for p in session.poses]
+        assert pose_t != sorted(pose_t)
+        assert list(session.intensities[:, 0]) != sorted(session.intensities[:, 0])
+        listener = wire.Listener("127.0.0.1:0")
+        messages = []
+        thread = threading.Thread(target=lambda: listener.receive(messages.append))
+        thread.start()
+        assert main(["stream-send", str(path), "--endpoint", listener.endpoint,
+                     "--imax", "3"]) == 0
+        thread.join(30.0)
+        # the stream arrives in time order, so it aligns as render would align it
+        frames = [m for m in messages if isinstance(m, wire.Frame)]
+        ints = [m for m in messages if isinstance(m, wire.IntensityOnly)]
+        expected = aligned_intensity(
+            [PoseSample(m.t_us, m.position, m.quaternion) for m in frames],
+            ism.profile_from_times([m.t_us / 1e6 for m in ints], [m.intensity for m in ints]),
+            TrajectoryConfig())
+        assert len(set(expected.tolist())) > 1
+        assert [m.intensity for m in frames] == expected.tolist()
+        assert [m.rgb for m in frames] == [map_color(normalize(v, NormalizationConfig(3.0)))
+                                           for v in expected.tolist()]
 
     def test_stream_recv_of_bad_frame_closes_its_session(self, tmp_path, capsys):
         import gc
@@ -592,6 +730,31 @@ class TestStreamLoopback:
                               np.float32([v for _, v in ints]))
         assert profile.segment_duration_ms == pytest.approx(5.0)
         assert profile.start_time_s == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSessionHeaderValues:
+    @pytest.mark.parametrize("case", ["recv-rate-0", "recv-segment-0", "send-nan-rate",
+                                      "replay-0-channels", "replay-negative-segment",
+                                      "replay-inf-rate"])
+    def test_exits_with_one_data_error(self, tmp_path, capsys, case):
+        command, _, fault = case.partition("-")
+        if command == "recv":
+            hello = wire.Hello(4, 0, 50) if fault == "rate-0" else wire.Hello(4, 5000, 0)
+            code = _stream_recv_while(_send_messages([hello]),
+                                      ["--out", str(tmp_path / "recv.isms")])
+        else:
+            rate, channels, segment_ms = {"nan-rate": (float("nan"), 1, 5.0),
+                                          "0-channels": (FS, 0, 5.0),
+                                          "negative-segment": (FS, 1, -5.0),
+                                          "inf-rate": (float("inf"), 1, 5.0)}[fault]
+            src = tmp_path / "bad.isms"
+            src.write_bytes(struct.pack("<4sHdBdH", b"ISMS", 1, rate, channels, segment_ms, 0)
+                            + b"VIBR" + struct.pack("<I", 8) + bytes(8))
+            code = main({"send": ["stream-send", str(src), "--endpoint", "127.0.0.1:9"],
+                         "replay": ["replay", str(src), "--speed", "inf"]}[command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[data]:") and len(err.splitlines()) == 1
 
 
 class TestComposition:

@@ -546,26 +546,21 @@ class TestReplay:
         _sample_session(path, n_poses=6, n_ints=9)
         session = Session.open(path)
         calls = []
-        report = replay(session, ReplayClock(speed=math.inf),
-                        on_pose=lambda p: calls.append((p.t_us, p, None)),
-                        on_intensity=lambda t, v: calls.append((t, None, v)))
-        expected = [(t, p, None if p is not None else v) for t, p, v in
-                    replay_events(session, ReplayClock(speed=math.inf))]
-        assert calls == expected
-        assert (report.poses_delivered, report.intensities_delivered) == (6, 9)
+        replay(session, ReplayClock(speed=math.inf),
+               on_pose=lambda p: calls.append((p.t_us, p, None)),
+               on_intensity=lambda t, v: calls.append((t, None, v)))
+        assert calls == list(replay_events(session, ReplayClock(speed=math.inf)))
+        assert (sum(p is not None for _, p, _ in calls),
+                sum(p is None for _, p, _ in calls)) == (6, 9)
 
 
 def _brute_force_events(session):
-    """The merge spelled out: sort by (time, pose first, stream order), hold the last value."""
+    """The merge spelled out: sort by (time, pose first, stream order)."""
     events = ([(p.t_us, 0, k, p) for k, p in enumerate(session.poses)]
               + [(int(t), 1, k, float(v)) for k, (t, v) in enumerate(session.intensities)])
     events.sort(key=lambda e: e[:3])
-    out, held = [], 0.0
-    for t, kind, _, payload in events:
-        if kind == 1:
-            held = payload
-        out.append((t, payload if kind == 0 else None, held))
-    return out
+    return [(t, payload, None) if kind == 0 else (t, None, payload)
+            for t, kind, _, payload in events]
 
 
 def _hand_written_session(path, rng, n_poses, n_ints, n_chunks):
@@ -602,8 +597,8 @@ class TestReplayEvents:
                           np.array([[10, 2.0], [20, 3.0], [30, 4.0]]), {})
         got = [(t, p is not None, v)
                for t, p, v in replay_events(session, ReplayClock(math.inf))]
-        assert got == [(0, True, 0.0), (10, True, 0.0), (10, True, 0.0), (10, False, 2.0),
-                       (20, False, 3.0), (30, True, 3.0), (30, False, 4.0)]
+        assert got == [(0, True, None), (10, True, None), (10, True, None), (10, False, 2.0),
+                       (20, False, 3.0), (30, True, None), (30, False, 4.0)]
 
     def test_negative_timestamp_rejected(self):
         session = Session(5000.0, 1, 5.0, "", np.zeros((0, 1), np.float32), [],
