@@ -132,8 +132,8 @@ def _record_analysis(path, channels: tuple[Waveform, ...], profile: ism.Intensit
     """Record the channels and their profile, one intensity per segment midpoint."""
     return sess.record(
         path, vibration=np.stack([ch.samples for ch in channels], axis=1),
-        intensities=[(int(round(t_s * 1e6)), float(value)) for t_s, value
-                     in zip(profile.midpoints_s(), profile.values)],
+        intensities=zip(profile.midpoints_us().astype(np.int64).tolist(),
+                        profile.values.tolist()),
         sample_rate_hz=channels[0].sample_rate_hz, segment_ms=config.segment_ms,
         model_id=model_id, **streams)
 
@@ -161,14 +161,6 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _profile_from_intensities(intensities: np.ndarray) -> ism.IntensityProfile | None:
-    """The profile of (t_us, value) rows taken in time order; None for no rows."""
-    if intensities.shape[0] == 0:
-        return None
-    rows = intensities[np.argsort(intensities[:, 0], kind="stable")]
-    return ism.profile_from_times(rows[:, 0] / 1e6, rows[:, 1])
-
-
 def _render(poses, profile, cfg: CliConfig, out, calibration=IDENTITY_CALIBRATION) -> int:
     """Write the coloured trajectory of poses to a PLY; returns its point count."""
     points = build_trajectory(poses, profile, calibration=calibration,
@@ -182,10 +174,7 @@ def cmd_render(args) -> int:
     if str(args.input).endswith(".isms"):
         session = sess.Session.open(args.input)
         poses = session.poses
-        profile = (ism.load_profile_csv(args.profile) if args.profile
-                   else _profile_from_intensities(session.intensities))
-        if profile is None:
-            raise DataError("session has no intensity stream; pass --profile")
+        profile = ism.load_profile_csv(args.profile) if args.profile else session.intensities
     else:
         poses = load_pose_csv(args.input)
         if not args.profile:
@@ -237,12 +226,10 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
     if endpoint:
         hello = wire.Hello(session.channels, int(round(session.sample_rate_hz)),
                            int(round(session.segment_ms * 10)))
-        profile = _profile_from_intensities(session.intensities)
         # replay_events yields the poses in this order, a stable sort by time
         poses = sorted(session.poses, key=lambda pose: pose.t_us)
-        values = (np.zeros(len(poses)) if profile is None
-                  else aligned_intensity(poses, profile, cfg.trajectory_config()))
-        pose_values = iter(values.tolist())
+        pose_values = iter(aligned_intensity(poses, session.intensities,
+                                             cfg.trajectory_config()).tolist())
         norm = cfg.norm()
         sender = wire.FrameSender(
             endpoint, policy="block" if math.isinf(clock.speed) else "drop-oldest")
@@ -292,18 +279,16 @@ def cmd_stream_recv(args) -> int:
     listener = wire.Listener(cfg.endpoint)
     received: list[wire.WireMessage] = []
     stats = listener.receive(received.append, accept_timeout=args.timeout)
+    hello = next((m for m in received if isinstance(m, wire.Hello)), None)
+    if hello is None:
+        raise ProtocolError("stream ended without a Hello")
     out = str(args.out)
     if out.endswith(".ply"):
         poses = [PoseSample(m.t_us, m.position, m.quaternion)
                  for m in received if isinstance(m, wire.Frame)]
-        ints = np.array([(m.t_us, m.intensity) for m in received
-                         if isinstance(m, wire.IntensityOnly)], dtype=np.float64)
-        profile = _profile_from_intensities(ints.reshape(-1, 2))
-        if profile is None:
-            raise DataError("stream has no IntensityOnly messages")
-        _render(poses, profile, cfg, out)
+        ints = [(m.t_us, m.intensity) for m in received if isinstance(m, wire.IntensityOnly)]
+        _render(poses, ints, cfg, out)
     else:
-        hello = next((m for m in received if isinstance(m, wire.Hello)), wire.Hello(4, 5000, 50))
         with sess.SessionWriter(out, hello.sample_rate_hz, hello.channels,
                                 hello.segment_ms_x10 / 10.0, model_id="received") as writer:
             for m in received:

@@ -117,6 +117,10 @@ class IntensityProfile:
         dur = self.segment_duration_ms / 1000.0
         return self.start_time_s + (np.arange(self.values.size) + 0.5) * dur
 
+    def midpoints_us(self) -> np.ndarray:
+        """The segment midpoints rounded to whole microseconds, as float64."""
+        return np.round(self.midpoints_s() * 1e6)
+
 
 @dataclass(frozen=True)
 class AnalysisResult:
@@ -393,23 +397,12 @@ def save_profile_csv(profile: IntensityProfile, path) -> None:
     save_intensity_csv(profile.midpoints_s(), profile.values, path)
 
 
-def profile_from_times(times_s, values) -> IntensityProfile:
-    """A profile from values at segment midpoints.
+def load_profile_csv(path) -> IntensityProfile:
+    """Read a profile CSV back, its rows taken as segment midpoints.
 
     The segment duration is the median spacing of the times (SEGMENT_MS for
-    a single value), and the profile starts half a segment before the first.
+    one row), and the profile starts half a segment before the first.
     """
-    times = np.asarray(times_s, dtype=np.float64)
-    if times.size > 1:
-        dur_ms = float(np.median(np.diff(times))) * 1000.0
-    else:
-        dur_ms = SEGMENT_MS
-    start = float(times[0]) - dur_ms / 2000.0
-    return IntensityProfile(values, dur_ms, start_time_s=start)
-
-
-def load_profile_csv(path) -> IntensityProfile:
-    """Read a profile CSV back; segment duration is inferred from row spacing."""
     times: list[float] = []
     values: list[float] = []
     with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
@@ -427,4 +420,5 @@ def load_profile_csv(path) -> IntensityProfile:
                 raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from None
     if not values:
         raise FileFormatError(f"{path}: no intensity rows")
-    return profile_from_times(times, values)
+    dur_ms = float(np.median(np.diff(times))) * 1000.0 if len(times) > 1 else SEGMENT_MS
+    return IntensityProfile(values, dur_ms, start_time_s=times[0] - dur_ms / 2000.0)

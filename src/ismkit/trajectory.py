@@ -207,7 +207,7 @@ def pivot_calibrate(poses: list[PoseSample]) -> tuple[ToolCalibration, float]:
     return ToolCalibration(sol[:3]), rms
 
 
-def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
+def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
                      calibration: ToolCalibration = IDENTITY_CALIBRATION,
                      lut: ColorLut = TURBO,
                      norm: NormalizationConfig = NormalizationConfig(1.0),
@@ -216,7 +216,8 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
 
     A pose is emitted only when its tip has moved at least min_spacing_m from
     the last emitted point AND at least 1/max_point_rate_hz has elapsed.
-    Each point takes its pose's aligned_intensity and that value's colour.
+    Each point takes its pose's aligned_intensity and that value's colour;
+    profile is what aligned_intensity takes.
     Everything but the sequential decimation runs over whole arrays.
     """
     if not poses:
@@ -243,23 +244,36 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile,
     return points
 
 
-def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile,
+def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
                       config: TrajectoryConfig) -> np.ndarray:
-    """Per pose, the value of the nearest profile segment midpoint within
-    align_tolerance_ms (the earlier on a tie), else the last such value, from 0."""
-    t_s = np.array([p.t_us for p in poses], dtype=np.float64) / 1e6
-    tol_s = config.align_tolerance_ms / 1000.0
-    midpoints = profile.midpoints_s()
-    n = midpoints.size
-    j = np.searchsorted(midpoints, t_s)
+    """Per pose, the value recorded nearest its time within align_tolerance_ms
+    (the earlier on a tie), else the last such value, from 0.
+
+    profile is an IntensityProfile, aligned at its segment midpoints rounded
+    to whole microseconds, or (t_us, value) rows in any order, each value
+    finite and non-negative. Times compare as float64 microseconds, exact
+    below 2^53.
+    """
+    if isinstance(profile, IntensityProfile):
+        times, values = profile.midpoints_us(), profile.values
+    else:
+        rows = np.asarray(profile, dtype=np.float64).reshape(-1, 2)
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        # the profile's own rule checks the values
+        times, values = rows[:, 0], IntensityProfile(rows[:, 1]).values
+    t_us = np.array([p.t_us for p in poses], dtype=np.float64)
+    n = times.size
+    if n == 0:
+        return np.zeros(t_us.size)
+    j = np.searchsorted(times, t_us)
     before, after = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-    d_before = np.where(j > 0, np.abs(midpoints[before] - t_s), np.inf)
-    d_after = np.where(j < n, np.abs(midpoints[after] - t_s), np.inf)
+    d_before = np.where(j > 0, np.abs(times[before] - t_us), np.inf)
+    d_after = np.where(j < n, np.abs(times[after] - t_us), np.inf)
     take_after = d_after < d_before
     nearest = np.where(take_after, after, before)
-    aligned = np.where(take_after, d_after, d_before) <= tol_s
-    last = np.maximum.accumulate(np.where(aligned, np.arange(t_s.size), -1))
-    return np.where(last >= 0, profile.values[nearest[np.maximum(last, 0)]], 0.0)
+    aligned = np.where(take_after, d_after, d_before) <= config.align_tolerance_ms * 1000.0
+    last = np.maximum.accumulate(np.where(aligned, np.arange(t_us.size), -1))
+    return np.where(last >= 0, values[nearest[np.maximum(last, 0)]], 0.0)
 
 
 def _decimate(t_us: list[int], tips: np.ndarray, config: TrajectoryConfig) -> list[int]:

@@ -52,6 +52,7 @@ PROTOCOL_VERSION = 1
 HEADER_SIZE = 9
 MAX_SKIP_PAYLOAD = 65535
 CONNECT_TIMEOUT_S = 5.0
+CLOSE_TIMEOUT_S = 10.0
 
 TYPE_HELLO = 1
 TYPE_FRAME = 2
@@ -473,8 +474,9 @@ class FrameSender:
                 return
             self.sent += len(batch)
 
-    def close(self, send_end: bool = True, timeout: float = 10.0) -> SenderReport:
-        """Flush the queue (optionally appending End), stop the writer, report.
+    def close(self, send_end: bool = True) -> SenderReport:
+        """Flush the queue (optionally appending End), stop the writer within
+        CLOSE_TIMEOUT_S, report.
 
         A second close only reports.
         """
@@ -484,7 +486,7 @@ class FrameSender:
             self._closing = True
             self._wake.notify_all()
         if self._thread is not None:
-            self._thread.join(timeout)
+            self._thread.join(CLOSE_TIMEOUT_S)
         if self._sock is not None:
             try:
                 self._sock.close()

@@ -2,6 +2,7 @@
 
 The straightforward loop `build_trajectory` is measured against: one pose
 at a time, its own scalar rotation matrix, a searchsorted lookup per pose
+over the midpoints in whole microseconds, integer distances,
 and the spacing and rate gates in order. Shares no code with the package's
 alignment, rotation or decimation.
 """
@@ -33,9 +34,10 @@ def reference_trajectory(poses, profile, calibration, lut, norm, config):
             raise DataError(f"pose timestamps not strictly increasing at t_us={pose.t_us}")
         t_prev = pose.t_us
 
-    midpoints = profile.midpoints_s()
+    # whole microseconds, as a session records the midpoints
+    midpoints_us = np.round(profile.midpoints_s() * 1e6)
     values = profile.values
-    tol_s = config.align_tolerance_ms / 1000.0
+    tol_us = config.align_tolerance_ms * 1000.0
     min_interval_us = 1e6 / config.max_point_rate_hz
 
     points = []
@@ -43,15 +45,14 @@ def reference_trajectory(poses, profile, calibration, lut, norm, config):
     last_t_us = None
     held_intensity = 0.0
     for pose in poses:
-        t_s = pose.t_us / 1e6
-        j = int(np.searchsorted(midpoints, t_s))
+        j = int(np.searchsorted(midpoints_us, pose.t_us))
         best = None
         for cand in (j - 1, j):
-            if 0 <= cand < midpoints.size:
-                d = abs(midpoints[cand] - t_s)
+            if 0 <= cand < midpoints_us.size:
+                d = abs(int(midpoints_us[cand]) - pose.t_us)
                 if best is None or d < best[0]:
                     best = (d, cand)
-        if best is not None and best[0] <= tol_s:
+        if best is not None and best[0] <= tol_us:
             held_intensity = float(values[best[1]])
 
         tip = pose.position + _quat_to_matrix(pose.orientation) @ calibration.tip_offset

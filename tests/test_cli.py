@@ -85,6 +85,22 @@ def _send_messages(messages):
     return send
 
 
+def _messages_sent(argv) -> list:
+    """What the command in argv sends to a listener given as its --endpoint; exits 0."""
+    listener = wire.Listener("127.0.0.1:0")
+    messages = []
+    thread = threading.Thread(target=lambda: listener.receive(messages.append))
+    thread.start()
+    assert main([*argv, "--endpoint", listener.endpoint]) == 0
+    thread.join(30.0)
+    assert not thread.is_alive()
+    return messages
+
+
+def _frames(messages) -> list:
+    return [m for m in messages if isinstance(m, wire.Frame)]
+
+
 def _tone_wav(path, freq, amp, duration=1.0):
     t = np.arange(int(duration * FS)) / FS
     save_wav(Waveform(amp * np.sin(2 * np.pi * freq * t), FS), path)
@@ -495,16 +511,9 @@ class TestStreamLoopback:
         assert (tmp_path / "streamed.ply").read_bytes() == rendered
 
         # every Frame at a pose render kept carries that PLY row's colour
-        listener = wire.Listener("127.0.0.1:0")
-        messages = []
-        thread = threading.Thread(target=lambda: listener.receive(messages.append))
-        thread.start()
-        assert main(["stream-send", str(src), "--endpoint", listener.endpoint, *imax]) == 0
-        thread.join(30.0)
-        frame_rgb = {m.t_us: m.rgb for m in messages if isinstance(m, wire.Frame)}
-        kept = build_trajectory(source.poses, ism.profile_from_times(
-            source.intensities[:, 0] / 1e6, source.intensities[:, 1]),
-            norm=NormalizationConfig(3.0))
+        frame_rgb = {m.t_us: m.rgb for m in _frames(_messages_sent(["stream-send", str(src),
+                                                                    *imax]))}
+        kept = build_trajectory(source.poses, source.intensities, norm=NormalizationConfig(3.0))
         _, colours = load_ply(tmp_path / "src.ply")
         assert [frame_rgb[p.t_us] for p in kept] == [tuple(c) for c in colours.tolist()]
         assert len({tuple(c) for c in colours.tolist()}) > 1
@@ -517,20 +526,13 @@ class TestStreamLoopback:
         pose_t = [p.t_us for p in session.poses]
         assert pose_t != sorted(pose_t)
         assert list(session.intensities[:, 0]) != sorted(session.intensities[:, 0])
-        listener = wire.Listener("127.0.0.1:0")
-        messages = []
-        thread = threading.Thread(target=lambda: listener.receive(messages.append))
-        thread.start()
-        assert main(["stream-send", str(path), "--endpoint", listener.endpoint,
-                     "--imax", "3"]) == 0
-        thread.join(30.0)
+        messages = _messages_sent(["stream-send", str(path), "--imax", "3"])
         # the stream arrives in time order, so it aligns as render would align it
-        frames = [m for m in messages if isinstance(m, wire.Frame)]
+        frames = _frames(messages)
         ints = [m for m in messages if isinstance(m, wire.IntensityOnly)]
         expected = aligned_intensity(
             [PoseSample(m.t_us, m.position, m.quaternion) for m in frames],
-            ism.profile_from_times([m.t_us / 1e6 for m in ints], [m.intensity for m in ints]),
-            TrajectoryConfig())
+            [(m.t_us, m.intensity) for m in ints], TrajectoryConfig())
         assert len(set(expected.tolist())) > 1
         assert [m.intensity for m in frames] == expected.tolist()
         assert [m.rgb for m in frames] == [map_color(normalize(v, NormalizationConfig(3.0)))
@@ -730,6 +732,99 @@ class TestStreamLoopback:
                               np.float32([v for _, v in ints]))
         assert profile.segment_duration_ms == pytest.approx(5.0)
         assert profile.start_time_s == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("out", ["recv.isms", "recv.ply"])
+    def test_stream_recv_of_a_stream_without_hello_is_a_protocol_error(self, tmp_path, capsys,
+                                                                       out):
+        # the peer connects, sends End alone and closes
+        assert _stream_recv_while(_send_messages([]), ["--out", str(tmp_path / out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error[protocol]: stream ended without a Hello"]
+        assert not (tmp_path / out).exists()
+
+
+# 10 s of steady motion at 120 Hz: every third pose sits on a 5 ms segment
+# boundary, and render keeps about one pose in three
+LONG_SCENARIO = """\
+duration_s 10
+roughness 0.8
+sample_rate_hz 5000
+impact 0.4 2.0 0.02
+waypoint 0 0 0 0
+waypoint 1 0 0 0.1
+"""
+
+
+def _stepping_poses(times_ms) -> list[PoseSample]:
+    """Poses 5 mm apart at these times, far enough apart for render to keep each."""
+    return [PoseSample(t_ms * 1000, np.array([0.005 * i, 0.0, 0.0]), IDENTITY_Q)
+            for i, t_ms in enumerate(times_ms)]
+
+
+class TestAlignmentToRecordedTimes:
+    """A pose takes the intensity recorded nearest its time, the earlier on a tie."""
+
+    def test_a_pose_on_a_segment_boundary_takes_the_earlier_segment(self, tmp_path):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(LONG_SCENARIO)
+        src = tmp_path / "src.isms"
+        assert main(["simulate", str(scn), "--out", str(src), "--seed", "305"]) == 0
+        session = Session.open(src)
+        profile = ism.fuse_channels([ism.analyze(Waveform(session.vibration[:, c], FS)).profile
+                                     for c in range(session.channels)])
+        recorded = session.intensities[:, 1]  # float32 values, as a session holds them
+        assert np.array_equal(recorded, profile.values.astype(np.float32))
+        # a pose at k whole segments is as far from midpoint k - 1 as from midpoint k
+        seg_us = 5000
+        earlier = {p.t_us: p.t_us // seg_us - 1 for p in session.poses
+                   if p.t_us and p.t_us % seg_us == 0}
+        assert sum(recorded[k] != recorded[k + 1] for k in earlier.values()) > 300
+
+        norm = NormalizationConfig(3.0)
+        points = build_trajectory(session.poses, profile, norm=norm)
+        kept = [(i, earlier[pt.t_us]) for i, pt in enumerate(points) if pt.t_us in earlier]
+        assert len(kept) > 300
+        assert [points[i].intensity for i, _ in kept] == [profile.values[k] for _, k in kept]
+
+        assert main(["render", str(src), "--out", str(tmp_path / "session.ply"),
+                     "--imax", "3"]) == 0
+        _, colours = load_ply(tmp_path / "session.ply")
+        assert ([tuple(colours[i]) for i, _ in kept]
+                == [map_color(normalize(recorded[k], norm)) for _, k in kept])
+        pose_csv, ints_csv = tmp_path / "poses.csv", tmp_path / "ints.csv"
+        assert main(["replay", str(src), "--speed", "inf", "--pose-csv", str(pose_csv),
+                     "--intensity-csv", str(ints_csv)]) == 0
+        assert main(["render", str(pose_csv), "--profile", str(ints_csv),
+                     "--out", str(tmp_path / "csv.ply"), "--imax", "3"]) == 0
+        assert (tmp_path / "csv.ply").read_bytes() == (tmp_path / "session.ply").read_bytes()
+
+        frames = _frames(_messages_sent(["stream-send", str(src), "--imax", "3"]))
+        assert ([(m.t_us, m.intensity) for m in frames if m.t_us in earlier]
+                == [(t, recorded[k]) for t, k in earlier.items()])
+
+    def test_an_irregular_stream_is_aligned_to_its_own_times(self, tmp_path):
+        src = tmp_path / "irregular.isms"
+        record(src, poses=_stepping_poses(range(0, 101, 10)),
+               intensities=[(0, 0.0), (1000, 0.0), (2000, 0.0), (90_000, 3.0)], channels=1)
+        # 10-20 ms are nearest 2 ms; 30-60 ms hold it; 70 ms is 20 ms from 90 ms
+        expected = [0.0] * 7 + [3.0] * 4
+        ply = tmp_path / "irregular.ply"
+        assert main(["render", str(src), "--out", str(ply), "--imax", "3"]) == 0
+        _, colours = load_ply(ply)
+        norm = NormalizationConfig(3.0)
+        assert ([tuple(c) for c in colours.tolist()]
+                == [map_color(normalize(v, norm)) for v in expected])
+        frames = _frames(_messages_sent(["stream-send", str(src), "--imax", "3"]))
+        assert [m.intensity for m in frames] == expected
+
+    def test_tied_intensity_times_render_and_send(self, tmp_path):
+        src = tmp_path / "tied.isms"
+        record(src, poses=_stepping_poses(range(0, 101, 10)),
+               intensities=[(50_000, 1.0), (50_000, 2.0), (50_000, 3.0), (60_000, 0.5)],
+               channels=1)
+        assert main(["render", str(src), "--out", str(tmp_path / "tied.ply")]) == 0
+        for argv in (["stream-send", str(src)], ["replay", str(src), "--speed", "inf"]):
+            assert len(_frames(_messages_sent(argv))) == 11
 
 
 class TestSessionHeaderValues:

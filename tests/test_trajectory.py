@@ -11,7 +11,8 @@ from ismkit.colormap import TURBO, NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
 from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
-                               TrajectoryConfig, build_trajectory, export_ply,
+                               TrajectoryConfig, aligned_intensity, build_trajectory,
+                               export_ply,
                                load_calibration, load_ply, load_pose_csv,
                                pivot_calibrate, quat_to_matrix, save_calibration,
                                save_pose_csv, tip_position, validate_poses)
@@ -423,6 +424,37 @@ def _trajectory_case(draw):
                                    (-0.3, 0.07, 0.002)]))
     norm = NormalizationConfig(draw(st.sampled_from([1.0, 0.5, 3.0])))
     return poses, profile, ToolCalibration(np.array(offset)), norm, config
+
+
+class TestAlignedIntensity:
+    def test_a_profile_aligns_as_its_rows_recorded_to_the_microsecond(self):
+        rng = np.random.default_rng(11)
+        profile = IntensityProfile(rng.uniform(0, 2, 300), 5.0, start_time_s=0.0123457)
+        rows = np.column_stack([np.round(profile.midpoints_s() * 1e6), profile.values])
+        poses = [PoseSample(int(t), np.zeros(3), IDENTITY_Q)
+                 for t in np.unique(rng.integers(0, 1_600_000, 500))]
+        config = TrajectoryConfig()
+        assert np.array_equal(aligned_intensity(poses, profile, config),
+                              aligned_intensity(poses, rows, config))
+
+    def test_rows_in_any_order_align_as_in_time_order(self):
+        rng = np.random.default_rng(12)
+        rows = np.column_stack([np.sort(rng.choice(500_000, 80, replace=False)),
+                                rng.uniform(0, 1, 80)])
+        poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in range(0, 500_000, 3_000)]
+        config = TrajectoryConfig()
+        want = aligned_intensity(poses, rows, config)
+        assert len(set(want.tolist())) > 10
+        assert np.array_equal(aligned_intensity(poses, rows[rng.permutation(80)], config), want)
+
+    def test_no_rows_give_zero_per_pose(self):
+        poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in (0, 10, 20)]
+        assert aligned_intensity(poses, [], TrajectoryConfig()).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_a_bad_value_is_a_data_error_even_with_no_poses(self, bad):
+        with pytest.raises(DataError, match="finite and non-negative"):
+            aligned_intensity([], [(0, 1.0), (5, bad)], TrajectoryConfig())
 
 
 class TestBuildTrajectoryMatchesReference:
