@@ -8,7 +8,7 @@ trajectories streamed over a framed binary protocol or recorded for replay.
 """
 
 from .colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
-from .emd import EmdConfig, ImfSet, emd_decompose
+from .emd import ImfSet, emd_decompose
 from .errors import DataError, FileFormatError, IsmkitError, ProtocolError, UsageError
 from .ism import (AnalysisResult, IntensityProfile, IsmConfig, StreamingAnalyzer,
                   analyze, convert, fuse_channels, synthesize)
@@ -26,14 +26,13 @@ from .wire import (Decoder, End, Frame, FrameSender, Hello, IntensityOnly, Liste
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisResult", "ColorLut", "DataError", "Decoder", "DEFAULT_MODEL",
-    "EmdConfig", "End", "FileFormatError", "Frame", "FrameSender", "Hello",
-    "ImfSet", "IntensityOnly", "IntensityProfile", "IsmConfig", "IsmkitError",
-    "Listener", "MultiChannelWaveform", "NormalizationConfig", "PoseSample",
-    "ProtocolError", "PsychoModel", "ReplayClock", "Session",
-    "SessionWriter", "StreamingAnalyzer", "ToolCalibration", "TrajectoryConfig",
-    "TrajectoryPoint", "TURBO", "UsageError", "Waveform",
-    "amplitude_for_intensity", "analyze", "build_trajectory", "convert",
+    "AnalysisResult", "ColorLut", "DataError", "Decoder", "DEFAULT_MODEL", "End",
+    "FileFormatError", "Frame", "FrameSender", "Hello", "ImfSet", "IntensityOnly",
+    "IntensityProfile", "IsmConfig", "IsmkitError", "Listener",
+    "MultiChannelWaveform", "NormalizationConfig", "PoseSample", "ProtocolError",
+    "PsychoModel", "ReplayClock", "Session", "SessionWriter", "StreamingAnalyzer",
+    "ToolCalibration", "TrajectoryConfig", "TrajectoryPoint", "TURBO", "UsageError",
+    "Waveform", "amplitude_for_intensity", "analyze", "build_trajectory", "convert",
     "decode", "emd_decompose", "encode", "export_ply", "fuse_channels",
     "intensity_single", "load_wav", "lowfreq_extract", "map_color", "normalize",
     "pivot_calibrate", "record", "replay", "save_wav", "synthesize", "threshold_at",

@@ -17,7 +17,6 @@ class ColorLut:
     """A 256-entry RGB lookup table."""
 
     table: tuple[tuple[int, int, int], ...]
-    name: str = "custom"
 
     def __post_init__(self):
         table = tuple(tuple(int(c) for c in rgb) for rgb in self.table)
@@ -29,7 +28,7 @@ class ColorLut:
         object.__setattr__(self, "table", table)
 
 
-TURBO = ColorLut(TURBO_TABLE, name="turbo")
+TURBO = ColorLut(TURBO_TABLE)
 
 
 @dataclass(frozen=True)

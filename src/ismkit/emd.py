@@ -18,9 +18,9 @@ two forms. One row mirrors its knots with plain slices (_mirror_knots), a
 stack with padded arrays (_knot_rows); on one buffer with about 120
 extrema they took 30 us and 214 us (2-core x86-64 VM, numpy 2.4.6).
 
-Everything here is deterministic: the same samples and config produce
-bit-identical output, and a row decomposed in a stack gets exactly the bits
-it gets on its own.
+Everything here is deterministic: the same samples produce bit-identical
+output, and a row decomposed in a stack gets exactly the bits it gets on its
+own.
 """
 
 from __future__ import annotations
@@ -36,25 +36,13 @@ from .signal import Waveform
 (_DGTSV,) = get_lapack_funcs(("gtsv",), (np.empty(0, dtype=np.float64),))
 
 
-@dataclass(frozen=True)
-class EmdConfig:
-    """Sifting hyperparameters.
-
-    sift_sd_threshold is the classic normalized squared-difference stop
-    criterion; boundary is how many extrema are mirrored past each edge
-    before envelope fitting.
-    """
-
-    max_imfs: int = 8
-    sift_sd_threshold: float = 0.2
-    max_sift_iterations: int = 50
-    boundary: int = 2
-
-    def __post_init__(self):
-        if self.max_imfs <= 0 or self.max_sift_iterations <= 0 or self.boundary <= 0:
-            raise DataError("EmdConfig integers must be positive")
-        if self.sift_sd_threshold <= 0:
-            raise DataError("sift_sd_threshold must be positive")
+# The sift recipe. Read at call time, so a test can patch them.
+MAX_IMFS = 8
+# the classic normalized squared-difference stop criterion
+SIFT_SD_THRESHOLD = 0.2
+MAX_SIFT_ITERATIONS = 50
+# extrema mirrored past each edge before envelope fitting
+BOUNDARY = 2
 
 
 @dataclass(frozen=True)
@@ -324,7 +312,7 @@ def _spline_mean_flat(t: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int
     return mean
 
 
-def _envelope_mean_rows(x: np.ndarray, boundary: int) -> tuple[np.ndarray, np.ndarray]:
+def _envelope_mean_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Envelope mean of each row of a 2-D stack that has one: (means, has_mean).
 
     A row has a mean if it has at least two maxima and two minima; means
@@ -339,7 +327,7 @@ def _envelope_mean_rows(x: np.ndarray, boundary: int) -> tuple[np.ndarray, np.nd
         has_mean = np.array([max_idx.size >= 2 and min_idx.size >= 2])
         if not has_mean[0]:
             return x[:0], has_mean
-        t_up, v_up, t_lo, v_lo = _mirror_knots(x[0], max_idx, min_idx, boundary)
+        t_up, v_up, t_lo, v_lo = _mirror_knots(x[0], max_idx, min_idx, BOUNDARY)
         t, v = np.concatenate([t_up, t_lo]), np.concatenate([v_up, v_lo])
         counts = np.array([t_up.size, t_lo.size])
     else:
@@ -349,26 +337,27 @@ def _envelope_mean_rows(x: np.ndarray, boundary: int) -> tuple[np.ndarray, np.nd
         rows = has_mean.nonzero()[0]
         if rows.size == 0:
             return x[:0], has_mean
-        t, v, counts = _knot_rows(x, boundary, rows, max_idx, min_idx, n_max, n_min)
+        t, v, counts = _knot_rows(x, BOUNDARY, rows, max_idx, min_idx, n_max, n_min)
     return _spline_mean_flat(t, v, counts, n), has_mean
 
 
-def emd_decompose(waveform: Waveform, config: EmdConfig | None = None) -> ImfSet:
+def emd_decompose(waveform: Waveform) -> ImfSet:
     """Decompose a waveform into intrinsic mode functions plus a residual.
 
-    Stops at max_imfs or when the remainder is monotone (fewer than two
+    Stops at MAX_IMFS or when the remainder is monotone (fewer than two
     maxima or minima). Each IMF is sifted until the normalized squared
-    difference between successive iterates falls below sift_sd_threshold or
-    the iteration cap is hit. The components always sum back to the input to
-    within floating-point rounding. This is emd_decompose_rows on one row.
+    difference between successive iterates falls below SIFT_SD_THRESHOLD or
+    MAX_SIFT_ITERATIONS is reached. The components always sum back to the
+    input to within floating-point rounding. This is emd_decompose_rows on
+    one row.
     """
     rate = waveform.sample_rate_hz
-    imfs, residual = emd_decompose_rows(waveform.samples[None], config)
+    imfs, residual = emd_decompose_rows(waveform.samples[None])
     return ImfSet(imfs=tuple(Waveform(stack[0], rate) for _, stack in imfs),
                   residual=Waveform(residual[0], rate))
 
 
-def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
+def emd_decompose_rows(x: np.ndarray
                        ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """emd_decompose every row of a 2-D stack of equal-length signals.
 
@@ -379,7 +368,6 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
     denominator, the SD stop or the iteration cap. So a row's IMFs and
     residual have the same bits in any stack, alone included.
     """
-    cfg = config or EmdConfig()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise DataError("emd_decompose_rows expects a 2-D stack of rows")
@@ -391,14 +379,14 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
     # rows still peeling off IMFs, and their remainders; a row that stops
     # leaves its remainder in residual
     alive, r = np.arange(x.shape[0]), residual
-    for _ in range(cfg.max_imfs):
-        mean, keep = _envelope_mean_rows(r, cfg.boundary)
+    for _ in range(MAX_IMFS):
+        mean, keep = _envelope_mean_rows(r)
         if not keep.all():  # too few extrema
             residual[alive[~keep]] = r[~keep]
             alive, r = alive[keep], r[keep]
         if alive.size == 0:
             break
-        h = _sift(r, mean, cfg)
+        h = _sift(r, mean)
         keep = _has_extrema_rows(h)
         if not keep.all():  # sifting flattened the remainder
             residual[alive[~keep]] = r[~keep]
@@ -411,7 +399,7 @@ def emd_decompose_rows(x: np.ndarray, config: EmdConfig | None = None
     return imfs, residual
 
 
-def _sift(x: np.ndarray, mean: np.ndarray, cfg: EmdConfig) -> np.ndarray:
+def _sift(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Sift every row of x, whose envelope means are given, to its next IMF.
 
     The rows sift in lockstep; each stops at a zero SD denominator, the SD
@@ -419,7 +407,7 @@ def _sift(x: np.ndarray, mean: np.ndarray, cfg: EmdConfig) -> np.ndarray:
     """
     h = np.empty_like(x)
     sifting, hs = np.arange(x.shape[0]), x  # rows still sifting and their iterates
-    for it in range(cfg.max_sift_iterations):
+    for it in range(MAX_SIFT_ITERATIONS):
         denom = np.vecdot(hs, hs)  # np.dot's bits per row, unlike einsum
         if not denom.all():
             go = denom != 0.0
@@ -427,14 +415,14 @@ def _sift(x: np.ndarray, mean: np.ndarray, cfg: EmdConfig) -> np.ndarray:
             sifting, hs, mean, denom = sifting[go], hs[go], mean[go], denom[go]
         sd = np.vecdot(mean, mean) / denom
         hs = hs - mean
-        stop = sd < cfg.sift_sd_threshold
+        stop = sd < SIFT_SD_THRESHOLD
         n_stop = np.count_nonzero(stop)
-        if n_stop == stop.size or it == cfg.max_sift_iterations - 1:
+        if n_stop == stop.size or it == MAX_SIFT_ITERATIONS - 1:
             break  # at the cap the next mean would go unused
         if n_stop:
             h[sifting[stop]] = hs[stop]
             sifting, hs = sifting[~stop], hs[~stop]
-        mean, go = _envelope_mean_rows(hs, cfg.boundary)
+        mean, go = _envelope_mean_rows(hs)
         if not go.all():
             h[sifting[~go]] = hs[~go]
             sifting, hs = sifting[go], hs[go]

@@ -41,14 +41,14 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import psychophysics as psy
-from .emd import EmdConfig, emd_decompose_rows, _component_arrays
+from .emd import emd_decompose_rows, _component_arrays
 from .errors import DataError, FileFormatError, decoding
 from .signal import SEGMENT_MS, Waveform, lowpass_sos, segment_length
 
@@ -74,7 +74,6 @@ class IsmConfig:
     carrier_hz: float = 200.0
     buffer_ms: float = 100.0
     segment_ms: float = SEGMENT_MS
-    emd: EmdConfig = field(default_factory=EmdConfig)
 
     def __post_init__(self):
         for name in ("carrier_hz", "buffer_ms", "segment_ms"):
@@ -106,8 +105,11 @@ class IntensityProfile:
             raise DataError("profile values must be 1-D")
         if values.size and (not np.all(np.isfinite(values)) or np.any(values < 0)):
             raise DataError("profile values must be finite and non-negative")
-        if self.segment_duration_ms <= 0:
-            raise DataError("segment duration must be positive")
+        if not 0 < self.segment_duration_ms < math.inf:
+            raise DataError(f"segment duration must be positive and finite, "
+                            f"got {self.segment_duration_ms}")
+        if not math.isfinite(self.start_time_s):
+            raise DataError(f"start time must be finite, got {self.start_time_s}")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -161,7 +163,7 @@ def _block_intensities(chunks: np.ndarray, offset: int, seg_len: int,
     out = np.zeros((chunks.shape[0], (chunks.shape[1] - offset) // seg_len),
                    dtype=np.float64)
     for b in range(0, chunks.shape[0], BLOCK_ROWS):
-        imfs, _ = emd_decompose_rows(chunks[b:b + BLOCK_ROWS], cfg.emd)
+        imfs, _ = emd_decompose_rows(chunks[b:b + BLOCK_ROWS])
         if not imfs:
             continue
         # np.add.at adds in index order, which is IMF order for each segment,
@@ -416,6 +418,8 @@ def load_profile_csv(path) -> IntensityProfile:
             try:
                 times.append(float(row[0]))
                 values.append(float(row[1]))
+                if not math.isfinite(times[-1]):
+                    raise ValueError
             except (ValueError, IndexError):
                 raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from None
     if not values:

@@ -25,6 +25,8 @@ def _as_points(points: Iterable[tuple[float, float]], what: str) -> np.ndarray:
     arr = np.asarray([(float(f), float(v)) for f, v in points], dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise DataError(f"{what} table must contain at least one (frequency, value) pair")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} frequencies and values must be finite")
     if np.any(arr[:, 0] <= 0):
         raise DataError(f"{what} frequencies must be positive")
     if np.any(np.diff(arr[:, 0]) <= 0):

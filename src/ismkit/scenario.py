@@ -17,6 +17,7 @@ is driven by one seed, so a scenario regenerates bit-identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ class Impact:
     decay_s: float
 
     def __post_init__(self):
-        if self.t_s < 0 or self.amplitude < 0 or self.decay_s <= 0:
-            raise DataError("impact needs t_s >= 0, amplitude >= 0, decay_s > 0")
+        if not (0 <= self.t_s < math.inf and 0 <= self.amplitude < math.inf
+                and 0 < self.decay_s < math.inf):
+            raise DataError("impact needs finite t_s >= 0, amplitude >= 0, decay_s > 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class Waypoint:
         pos = np.asarray(self.position, dtype=np.float64)
         if pos.shape != (3,) or not np.all(np.isfinite(pos)):
             raise DataError("waypoint position must be a finite 3-vector")
-        if self.speed_mps < 0:
-            raise DataError("waypoint speed must be >= 0")
+        if not 0 <= self.speed_mps < math.inf:
+            raise DataError("waypoint speed must be finite and >= 0")
         object.__setattr__(self, "position", pos)
 
 
@@ -66,12 +68,14 @@ class SyntheticScenario:
     noise_band_hz: tuple[float, float] = (500.0, 1500.0)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise DataError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise DataError("duration must be positive and finite")
         if not self.waypoints:
             raise DataError("scenario needs at least one waypoint")
-        if self.roughness < 0:
-            raise DataError("roughness must be >= 0")
+        if not 0 <= self.roughness < math.inf:
+            raise DataError("roughness must be finite and >= 0")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise DataError("sample rate must be positive and finite")
         lo, hi = self.noise_band_hz
         if not 0 < lo < hi < self.sample_rate_hz / 2:
             raise DataError(f"noise band {self.noise_band_hz} invalid for rate "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
+from .colormap import NormalizationConfig, map_color, normalize
 from .errors import DataError, FileFormatError, decoding
 from .ism import IntensityProfile
 
@@ -209,14 +209,13 @@ def pivot_calibrate(poses: list[PoseSample]) -> tuple[ToolCalibration, float]:
 
 def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
                      calibration: ToolCalibration = IDENTITY_CALIBRATION,
-                     lut: ColorLut = TURBO,
                      norm: NormalizationConfig = NormalizationConfig(1.0),
                      config: TrajectoryConfig = TrajectoryConfig()) -> list[TrajectoryPoint]:
     """Decimate poses into colored trajectory points.
 
     A pose is emitted only when its tip has moved at least min_spacing_m from
     the last emitted point AND at least 1/max_point_rate_hz has elapsed.
-    Each point takes its pose's aligned_intensity and that value's colour;
+    Each point takes its pose's aligned_intensity and that value's TURBO colour;
     profile is what aligned_intensity takes.
     Everything but the sequential decimation runs over whole arrays.
     """
@@ -240,7 +239,7 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.nda
     for i, tip in zip(kept, tips[kept]):
         held = float(intensity[i])
         points.append(TrajectoryPoint(t_us=t_us[i], tip_position=tip, intensity=held,
-                                      rgb=map_color(normalize(held, norm), lut)))
+                                      rgb=map_color(normalize(held, norm))))
     return points
 
 

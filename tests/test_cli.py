@@ -142,6 +142,20 @@ class TestAnalyze:
         steady = ism.load_profile_csv(out).values[20:-20]
         assert np.all((steady >= 0.9) & (steady <= 1.1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", ["exponent 100 inf", "threshold 100 nan",
+                                      "threshold inf 1.0", "exponent nan 0.5"])
+    def test_non_finite_model_value_is_one_data_error(self, tmp_path, capsys, line):
+        model = tmp_path / "model.txt"
+        model.write_text(f"threshold 50 1.0\nexponent 50 0.5\n{line}\n")
+        wav = tmp_path / "tone.wav"
+        _tone_wav(wav, 200.0, 1.0)
+        code = main(["analyze", str(wav), "--out", str(tmp_path / "p.csv"),
+                     "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error[data]: {model}") and len(err.splitlines()) == 1
+
     def test_two_channel_wav_exits_with_data_error(self, tmp_path, capsys):
         import struct
         wav = tmp_path / "stereo.wav"
@@ -299,6 +313,22 @@ class TestRender:
         pos, _ = load_ply(out)
         assert pos.shape[0] == 1
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("bad_time", ["nan", "inf"])
+    def test_profile_with_a_non_finite_time_is_a_data_error(self, tmp_path, capsys, bad_time):
+        poses = [PoseSample(i * 10_000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                 for i in range(20)]
+        pose_csv = tmp_path / "poses.csv"
+        save_pose_csv(poses, pose_csv)
+        profile_csv = tmp_path / "p.csv"
+        profile_csv.write_text(f"t_s,intensity\n0.0025,1.0\n{bad_time},2.0\n0.0125,0.5\n")
+        out = tmp_path / "o.ply"
+        code = main(["render", str(pose_csv), "--profile", str(profile_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error[data]:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_pose_csv_without_profile_is_usage_error(self, tmp_path, capsys):
         poses = [PoseSample(0, np.zeros(3), IDENTITY_Q)]
         pose_csv = tmp_path / "poses.csv"
@@ -333,6 +363,28 @@ class TestSimulate:
                      "--session", str(analyzed)]) == 0
         assert session.model_id == Session.open(analyzed).model_id == "builtin"
         assert np.array_equal(session.intensities, Session.open(analyzed).intensities)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("old, new", [
+        ("duration_s 1.5", "duration_s nan"),
+        ("duration_s 1.5", "duration_s inf"),
+        ("sample_rate_hz 5000", "sample_rate_hz inf"),
+        ("roughness 0.8", "roughness inf"),
+        ("impact 0.4 2.0 0.02", "impact nan 1 0.01"),
+        ("impact 0.4 2.0 0.02", "impact 0.4 inf 0.02"),
+        ("impact 0.4 2.0 0.02", "impact 0.4 2.0 inf"),
+        ("waypoint 0.1 0 0 0.1", "waypoint 0.1 0 0 nan"),
+        ("waypoint 0.1 0 0 0.1", "waypoint 0.1 0 0 inf"),
+    ])
+    def test_non_finite_scenario_value_is_one_data_error(self, tmp_path, capsys, old, new):
+        scn = tmp_path / "scn.txt"
+        scn.write_text(SCENARIO.replace(old, new))
+        out = tmp_path / "x.isms"
+        code = main(["simulate", str(scn), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error[data]: {scn}") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_malformed_scenario_reports_line(self, tmp_path, capsys):
         scn = tmp_path / "bad.txt"

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ismkit.emd import (EmdConfig, _component_arrays, _extrema_rows, _has_extrema_rows,
-                        emd_decompose)
+from ismkit import emd
+from ismkit.emd import _component_arrays, _extrema_rows, _has_extrema_rows, emd_decompose
 from ismkit.errors import DataError
 from ismkit.signal import Waveform
 
@@ -236,10 +236,11 @@ class TestDecompose:
         err = np.linalg.norm(result.reconstruct() - x) / max(np.linalg.norm(x), 1e-30)
         assert err < 1e-9
 
-    def test_respects_max_imfs(self):
+    def test_respects_max_imfs(self, monkeypatch):
         x = np.random.default_rng(6).standard_normal(4000)
-        result = emd_decompose(Waveform(x, FS), EmdConfig(max_imfs=3))
-        assert len(result.imfs) <= 3
+        monkeypatch.setattr(emd, "MAX_IMFS", 3)
+        result = emd_decompose(Waveform(x, FS))
+        assert len(result.imfs) == 3
 
 
 def _components(imf_set):

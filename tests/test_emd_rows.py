@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from benchmarks.inputs import make_capture
 from ismkit import emd, ism
-from ismkit.emd import EmdConfig, emd_decompose, emd_decompose_rows, _component_arrays
+from ismkit.emd import emd_decompose, emd_decompose_rows, _component_arrays
 from ismkit.errors import DataError
 from ismkit.scenario import Impact, SyntheticScenario, Waypoint, simulate
 from ismkit.signal import Waveform
@@ -17,15 +17,21 @@ from .reference_sift import envelope_mean, find_extrema, mirror_knots, reference
 FS = 5000.0
 BUF = 500  # 100 ms at FS
 
-CONFIGS = [
-    EmdConfig(),
+# The fixed sift recipe and variations of it, as emd constants to patch
+RECIPES = [
+    {},
     # a threshold no sift reaches in 3 iterations: every row runs to the cap
-    EmdConfig(max_sift_iterations=3, sift_sd_threshold=1e-9),
-    EmdConfig(boundary=1, max_imfs=3),
-    EmdConfig(boundary=3),
+    {"MAX_SIFT_ITERATIONS": 3, "SIFT_SD_THRESHOLD": 1e-9},
+    {"BOUNDARY": 1, "MAX_IMFS": 3},
+    {"BOUNDARY": 3},
     # more mirrored knots than some rows have extrema
-    EmdConfig(boundary=5),
+    {"BOUNDARY": 5},
 ]
+
+
+def _use(patch, recipe: dict) -> None:
+    for name, value in recipe.items():
+        patch.setattr(emd, name, value)
 
 
 def _capture(duration_s: float, seed: int) -> np.ndarray:
@@ -82,17 +88,14 @@ def _hand_built_rows() -> np.ndarray:
     ])
 
 
-def _reference(x: np.ndarray, cfg: EmdConfig):
-    return reference_decompose(x, cfg.max_imfs, cfg.sift_sd_threshold,
-                               cfg.max_sift_iterations, cfg.boundary)
-
-
-def _assert_rows_match(x: np.ndarray, cfg: EmdConfig) -> None:
-    """Every row, decomposed in the stack x and alone, equals the reference."""
-    imfs, residual = emd_decompose_rows(x, cfg)
+def _assert_rows_match(x: np.ndarray) -> None:
+    """Every row, decomposed in the stack x and alone, equals the reference
+    run with emd's current recipe."""
+    imfs, residual = emd_decompose_rows(x)
     for r in range(x.shape[0]):
-        ref_imfs, ref_residual = _reference(x[r], cfg)
-        alone = emd_decompose(Waveform(x[r], FS), cfg)
+        ref_imfs, ref_residual = reference_decompose(
+            x[r], emd.MAX_IMFS, emd.SIFT_SD_THRESHOLD, emd.MAX_SIFT_ITERATIONS, emd.BOUNDARY)
+        alone = emd_decompose(Waveform(x[r], FS))
         stacked = [stack[rows == r][0] for rows, stack in imfs if np.any(rows == r)]
         assert len(stacked) == len(alone.imfs) == len(ref_imfs), f"row {r}"
         for j, ref in enumerate(ref_imfs):
@@ -108,20 +111,22 @@ def _capture_buffers(seed: int, duration_s: float) -> np.ndarray:
 
 
 class TestDecomposeRows:
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_capture_buffers_match_one_by_one(self, cfg):
+    @pytest.mark.parametrize("cfg", RECIPES)
+    def test_capture_buffers_match_one_by_one(self, monkeypatch, cfg):
+        _use(monkeypatch, cfg)
         x = _capture(3.0, seed=31)
         rows = np.concatenate([_buffer_rows(x[:, c]) for c in range(4)])
-        _assert_rows_match(rows, cfg)
+        _assert_rows_match(rows)
 
     def test_benchmark_capture_buffers_match(self):
         rows = _capture_buffers(seed=35, duration_s=10.0)
         for b in range(0, rows.shape[0], ism.BLOCK_ROWS):
-            _assert_rows_match(rows[b:b + ism.BLOCK_ROWS], EmdConfig())
+            _assert_rows_match(rows[b:b + ism.BLOCK_ROWS])
 
-    @pytest.mark.parametrize("cfg", CONFIGS)
-    def test_hand_built_rows_match_one_by_one(self, cfg):
-        _assert_rows_match(_hand_built_rows(), cfg)
+    @pytest.mark.parametrize("cfg", RECIPES)
+    def test_hand_built_rows_match_one_by_one(self, monkeypatch, cfg):
+        _use(monkeypatch, cfg)
+        _assert_rows_match(_hand_built_rows())
 
     def test_span_guard_rows_match_reference(self, monkeypatch):
         late = _hand_built_rows()[11:13]
@@ -131,19 +136,20 @@ class TestDecomposeRows:
                 t_up, _, t_lo, _ = mirror_knots(row, *find_extrema(row), 2)
                 assert min(t_up[0], t_lo[0]) > 0 or max(t_up[-1], t_lo[-1]) < BUF
         for boundary in (1, 2, 3):
-            _assert_rows_match(late, EmdConfig(boundary=boundary))
+            monkeypatch.setattr(emd, "BOUNDARY", boundary)
+            _assert_rows_match(late)
 
     @pytest.mark.parametrize("boundary", [4, 5, 6])
-    def test_short_edge_runs_do_not_wrap(self, boundary):
+    def test_short_edge_runs_do_not_wrap(self, monkeypatch, boundary):
         # The endpoint and every maximum are mirrored past the right edge,
         # however many more the boundary asks for.
         x = _ramp_row()
         t_up, _, _, _ = emd._mirror_knots(x, *find_extrema(x), boundary)
         assert np.count_nonzero(t_up > BUF) == 3
-        rows = np.stack([x, x[::-1].copy()])
-        _assert_rows_match(rows, EmdConfig(boundary=boundary))
+        monkeypatch.setattr(emd, "BOUNDARY", boundary)
+        _assert_rows_match(np.stack([x, x[::-1].copy()]))
 
-    def test_sd_stop_matches_np_dot(self):
+    def test_sd_stop_matches_np_dot(self, monkeypatch):
         # A threshold equal to a row's first SD, as the reference computes it
         # with np.dot, does not stop that row. A sum that rounds differently
         # lands on either side of it and flips the decision.
@@ -151,11 +157,12 @@ class TestDecomposeRows:
         for r in rows:
             mean = envelope_mean(r, 2)
             sd = float(np.dot(mean, mean)) / float(np.dot(r, r))
-            _assert_rows_match(rows, EmdConfig(sift_sd_threshold=sd))
+            monkeypatch.setattr(emd, "SIFT_SD_THRESHOLD", sd)
+            _assert_rows_match(rows)
 
     def test_single_row_is_emd_decompose(self):
         x = _capture(1.0, seed=32)[:BUF + 1, :1].T
-        _assert_rows_match(x, EmdConfig())
+        _assert_rows_match(x)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(8, 700), seed=st.integers(0, 2**32 - 1),
@@ -170,8 +177,10 @@ class TestDecomposeRows:
             np.round(3.0 * np.sin(2 * np.pi * t / rng.uniform(6.0, 90.0))),  # plateaus
             np.where(t < rng.integers(0, n), 0.0, rng.standard_normal(n)),   # silent start
         ])
-        _assert_rows_match(rows, EmdConfig(max_imfs=max_imfs, sift_sd_threshold=sd,
-                                           max_sift_iterations=max_sift, boundary=boundary))
+        with pytest.MonkeyPatch.context() as patch:
+            _use(patch, {"MAX_IMFS": max_imfs, "SIFT_SD_THRESHOLD": sd,
+                         "MAX_SIFT_ITERATIONS": max_sift, "BOUNDARY": boundary})
+            _assert_rows_match(rows)
 
     def test_empty_stack(self):
         imfs, residual = emd_decompose_rows(np.zeros((0, BUF + 1)))

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import subprocess
@@ -12,9 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ismkit import ism
-from ismkit.emd import EmdConfig
-from ismkit.errors import DataError
+from ismkit import emd, ism
+from ismkit.errors import DataError, FileFormatError
 from ismkit.psychophysics import amplitude_for_intensity, threshold_at
 from ismkit.signal import Waveform, lowfreq_extract, segment_length
 
@@ -291,6 +291,22 @@ class TestProfileCsv:
         with pytest.raises(Exception):
             ism.load_profile_csv(path)
 
+    @pytest.mark.parametrize("times, bad_line", [(("0.0025", "nan", "0.0125"), 3),
+                                                 (("0.0025", "inf", "0.0125"), 3),
+                                                 (("-inf", "0.0075", "0.0125"), 2),
+                                                 (("nan",), 2)])
+    def test_non_finite_times_rejected(self, tmp_path, times, bad_line):
+        path = tmp_path / "p.csv"
+        path.write_text("t_s,intensity\n" + "".join(f"{t},1.0\n" for t in times))
+        with pytest.raises(FileFormatError, match=f"{path}:{bad_line}:"):
+            ism.load_profile_csv(path)
+
+    @pytest.mark.parametrize("duration_ms, start_s", [(math.nan, 0.0), (math.inf, 0.0),
+                                                      (5.0, math.nan), (5.0, -math.inf)])
+    def test_profile_timing_must_be_finite(self, duration_ms, start_s):
+        with pytest.raises(DataError):
+            ism.IntensityProfile(np.ones(3), duration_ms, start_s)
+
 
 class TestIsmConfig:
     def test_buffer_must_be_segment_multiple(self):
@@ -366,10 +382,13 @@ class TestParallelSplit:
         assert got.shape == (n_rows, 4)
 
     @pytest.mark.parametrize("boundary", [1, 3, 5])
-    def test_split_equals_serial_across_emd_configs(self, cpus, u_model, boundary):
+    def test_split_equals_serial_across_emd_configs(self, cpus, u_model, monkeypatch,
+                                                    boundary):
+        # the pool forks after the patch, so its workers sift by the same recipe
+        monkeypatch.setattr(emd, "BOUNDARY", boundary)
+        monkeypatch.setattr(emd, "SIFT_SD_THRESHOLD", 0.05)
         chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1, seed=boundary)
-        cfg = ism.IsmConfig(emd=EmdConfig(boundary=boundary, sift_sd_threshold=0.05))
-        args = (1, 25, u_model, cfg)
+        args = (1, 25, u_model, ism.IsmConfig())
         cpus(2)
         got = ism._start_intensities(chunks, *args)()
         assert ism._pool is not None

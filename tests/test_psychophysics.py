@@ -118,6 +118,15 @@ class TestModelFile:
         with pytest.raises(FileFormatError, match=r":1:"):
             load_model(path)
 
+    @pytest.mark.parametrize("line", ["threshold 100 nan", "threshold 100 inf",
+                                      "exponent 100 inf", "exponent nan 0.5",
+                                      "threshold inf 2.5"])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        path = tmp_path / "model.txt"
+        path.write_text(f"threshold 50 2.5\nexponent 50 0.5\n{line}\n")
+        with pytest.raises(FileFormatError, match=str(path)):
+            load_model(path)
+
     def test_missing_exponent_rejected(self, tmp_path):
         path = tmp_path / "incomplete.txt"
         path.write_text("threshold 100 2.5\n")
