@@ -23,10 +23,9 @@ from .errors import (DataError, FileFormatError, IsmkitError, ProtocolError, Usa
                      decoding)
 from .scenario import load_scenario, simulate
 from .signal import MultiChannelWaveform, Waveform
-from .trajectory import (IDENTITY_CALIBRATION, PoseSample, TrajectoryConfig,
-                         aligned_intensity, build_trajectory, export_ply,
-                         load_calibration, load_pose_csv, pivot_calibrate,
-                         save_calibration, save_pose_csv)
+from .trajectory import (IDENTITY_CALIBRATION, PoseSample, aligned_intensity,
+                         build_trajectory, export_ply, load_calibration, load_pose_csv,
+                         pivot_calibrate, save_calibration, save_pose_csv)
 from .wavio import load_wav, save_wav
 
 ENDPOINT_ENV = "ISMKIT_ENDPOINT"
@@ -37,24 +36,17 @@ EXIT_DATA = 2
 EXIT_IO = 3
 EXIT_PROTOCOL = 4
 
-# config key: (value type, argparse dest of its flag, flag help, the library config
-# whose field of the same name it sets)
+# config key: (value type, argparse dest of its flag, flag help)
 SETTINGS = {
-    "model": (str, "model", "psychophysical model file", None),
-    "i_max": (float, "imax", "normalization maximum intensity", NormalizationConfig),
-    "carrier_hz": (float, "carrier", "carrier frequency Hz", ism.IsmConfig),
-    "buffer_ms": (float, "buffer_ms", None, ism.IsmConfig),
-    "segment_ms": (float, "segment_ms", None, ism.IsmConfig),
-    "min_spacing_m": (float, "min_spacing", None, TrajectoryConfig),
-    "max_point_rate_hz": (float, "max_rate", None, TrajectoryConfig),
-    "align_tolerance_ms": (float, None, None, TrajectoryConfig),
-    "endpoint": (str, "endpoint", "host:port", None),
+    "model": (str, "model", "psychophysical model file"),
+    "i_max": (float, "imax", "normalization maximum intensity"),
+    "endpoint": (str, "endpoint", "host:port"),
 }
 
 
 @dataclass
 class CliConfig:
-    """The settings given, by config key; the library's defaults stand in for the rest."""
+    """The settings given, by config key."""
 
     values: dict
 
@@ -66,23 +58,13 @@ class CliConfig:
     def endpoint(self) -> str | None:
         return self.values.get("endpoint")
 
-    def _build(self, cls, **defaults):
-        return cls(**defaults | {key: value for key, value in self.values.items()
-                                 if SETTINGS[key][3] is cls})
-
     def model(self) -> psy.PsychoModel:
         if self.model_path is None:
             return psy.DEFAULT_MODEL
         return psy.load_model(self.model_path)
 
-    def ism_config(self) -> ism.IsmConfig:
-        return self._build(ism.IsmConfig)
-
-    def trajectory_config(self) -> TrajectoryConfig:
-        return self._build(TrajectoryConfig)
-
     def norm(self) -> NormalizationConfig:
-        return self._build(NormalizationConfig, i_max=1.0)
+        return NormalizationConfig(self.values.get("i_max", 1.0))
 
 
 def load_config_file(path) -> dict:
@@ -112,7 +94,7 @@ def build_cli_config(args) -> CliConfig:
     if ENDPOINT_ENV in os.environ:
         values.setdefault("endpoint", os.environ[ENDPOINT_ENV])
     flags = vars(args)
-    values.update((key, flags[dest]) for key, (_, dest, _, _) in SETTINGS.items()
+    values.update((key, flags[dest]) for key, (_, dest, _) in SETTINGS.items()
                   if flags.get(dest) is not None)
     return CliConfig(values)
 
@@ -128,24 +110,24 @@ def _channels(loaded: Waveform | MultiChannelWaveform) -> tuple[Waveform, ...]:
 
 
 def _record_analysis(path, channels: tuple[Waveform, ...], profile: ism.IntensityProfile,
-                     config: ism.IsmConfig, model_id: str, **streams) -> dict:
+                     model_id: str, **streams) -> dict:
     """Record the channels and their profile, one intensity per segment midpoint."""
     return sess.record(
         path, vibration=np.stack([ch.samples for ch in channels], axis=1),
         intensities=zip(profile.midpoints_us().astype(np.int64).tolist(),
                         profile.values.tolist()),
-        sample_rate_hz=channels[0].sample_rate_hz, segment_ms=config.segment_ms,
+        sample_rate_hz=channels[0].sample_rate_hz, segment_ms=profile.segment_duration_ms,
         model_id=model_id, **streams)
 
 
 def cmd_analyze(args) -> int:
     cfg = build_cli_config(args)
     channels = _channels(load_wav(args.input))
-    model, config = cfg.model(), cfg.ism_config()
+    model = cfg.model()
     # the mean of one profile is that profile, bit for bit
-    profile = ism.fuse_channels([ism.analyze(ch, model, config).profile for ch in channels])
+    profile = ism.fuse_channels([ism.analyze(ch, model).profile for ch in channels])
     if args.session:
-        _record_analysis(args.session, channels, profile, config, cfg.model_path or "builtin")
+        _record_analysis(args.session, channels, profile, cfg.model_path or "builtin")
     ism.save_profile_csv(profile, args.out)
     print(f"analyzed segments={len(profile)} out={args.out}")
     return EXIT_OK
@@ -153,8 +135,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     cfg = build_cli_config(args)
-    model, config = cfg.model(), cfg.ism_config()
-    converted = tuple(ism.convert(ch, model, config) for ch in _channels(load_wav(args.input)))
+    model = cfg.model()
+    converted = tuple(ism.convert(ch, model) for ch in _channels(load_wav(args.input)))
     clipped = save_wav(converted[0] if len(converted) == 1 else MultiChannelWaveform(converted),
                        args.out, encoding=args.encoding)
     print(f"converted samples={len(converted[0])} clipped={clipped} out={args.out}")
@@ -163,8 +145,7 @@ def cmd_convert(args) -> int:
 
 def _render(poses, profile, cfg: CliConfig, out, calibration=IDENTITY_CALIBRATION) -> int:
     """Write the coloured trajectory of poses to a PLY; returns its point count."""
-    points = build_trajectory(poses, profile, calibration=calibration,
-                              norm=cfg.norm(), config=cfg.trajectory_config())
+    points = build_trajectory(poses, profile, calibration=calibration, norm=cfg.norm())
     export_ply(points, out)
     return len(points)
 
@@ -192,9 +173,8 @@ def cmd_simulate(args) -> int:
     # analyzed in float32, as recorded, so analyze --session of its WAV agrees
     channels = tuple(Waveform(ch.samples.astype(np.float32), ch.sample_rate_hz)
                      for ch in vibration.channels)
-    config = ism.IsmConfig()
-    profile = ism.fuse_channels([ism.analyze(ch, config=config).profile for ch in channels])
-    summary = _record_analysis(args.out, channels, profile, config, "builtin", poses=poses,
+    profile = ism.fuse_channels([ism.analyze(ch).profile for ch in channels])
+    summary = _record_analysis(args.out, channels, profile, "builtin", poses=poses,
                                meta={"scenario": str(args.scenario), "seed": str(args.seed)})
     print(f"simulated duration_s={summary['vibration_duration_s']:g} "
           f"poses={summary['poses']} intensities={summary['intensities']} out={args.out}")
@@ -228,8 +208,7 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
                            int(round(session.segment_ms * 10)))
         # replay_events yields the poses in this order, a stable sort by time
         poses = sorted(session.poses, key=lambda pose: pose.t_us)
-        pose_values = iter(aligned_intensity(poses, session.intensities,
-                                             cfg.trajectory_config()).tolist())
+        pose_values = iter(aligned_intensity(poses, session.intensities).tolist())
         norm = cfg.norm()
         sender = wire.FrameSender(
             endpoint, policy="block" if math.isinf(clock.speed) else "drop-oldest")
@@ -297,7 +276,10 @@ def cmd_stream_recv(args) -> int:
                 elif isinstance(m, wire.IntensityOnly):
                     writer.append_intensity(m.t_us, m.intensity)
     print(f"received={stats.messages} frames={stats.frames} "
-          f"resync_bytes={stats.resync_bytes} out={args.out}")
+          f"resync_bytes={stats.resync_bytes} "
+          f"decode_errors={sum(stats.decode_errors.values())} out={args.out}")
+    if not stats.got_end:
+        raise ProtocolError(f"stream ended without End after {stats.messages} messages")
     return EXIT_OK
 
 
@@ -328,8 +310,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, endpoint=False):
-        for key, (kind, dest, help_text, _) in SETTINGS.items():
-            if dest and (endpoint or key != "endpoint"):
+        for key, (kind, dest, help_text) in SETTINGS.items():
+            if endpoint or key != "endpoint":
                 p.add_argument("--" + dest.replace("_", "-"), type=kind, help=help_text)
 
     p = sub.add_parser("analyze", help="WAV to intensity profile CSV")
@@ -339,7 +321,7 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("convert", help="re-express a WAV on the carrier")
+    p = sub.add_parser("convert", help="re-express a WAV on the 200 Hz carrier")
     p.add_argument("input")
     p.add_argument("out")
     p.add_argument("--encoding", choices=("float32", "pcm16"), default="float32")

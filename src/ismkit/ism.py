@@ -1,8 +1,13 @@
 """Buffered intensity analysis, four-channel fusion and 200 Hz AM resynthesis.
 
+The framing and the carrier are constants, not settings: SEGMENT_MS (5 ms,
+in signal.py) segments in BUFFER_MS (100 ms) buffers, re-expressed on a
+CARRIER_HZ (200 Hz) carrier. A segment is round(5 ms x rate) whole samples
+and is timed by them: at 44.1 kHz that is 220 samples, 4.989 ms.
+
 Analysis slices the signal into buffers, decomposes each buffer into
-intrinsic mode functions, measures per-5 ms amplitude and frequency of every
-mode, and sums the perceptual intensities of the resolvable components.
+intrinsic mode functions, measures per-segment amplitude and frequency of
+every mode, and sums the perceptual intensities of the resolvable components.
 Content too slow to resolve in a 5 ms window is not lost: a causal <100 Hz
 low-pass of the raw signal rides along and is added back verbatim at
 synthesis time.
@@ -52,6 +57,8 @@ from .emd import emd_decompose_rows, _component_arrays
 from .errors import DataError, FileFormatError, decoding
 from .signal import SEGMENT_MS, Waveform, lowpass_sos, segment_length
 
+BUFFER_MS = 100.0
+CARRIER_HZ = 200.0
 CROSSFADE_FRACTION = 0.25
 # Buffers decomposed together. On a 4-channel 60 s analyze, blocks of 32
 # rows took 1.2x as long as 64 (per-call overhead again) and blocks of 256
@@ -67,28 +74,6 @@ PARALLEL_MIN_ROWS = 256
 
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
-
-
-@dataclass(frozen=True)
-class IsmConfig:
-    carrier_hz: float = 200.0
-    buffer_ms: float = 100.0
-    segment_ms: float = SEGMENT_MS
-
-    def __post_init__(self):
-        for name in ("carrier_hz", "buffer_ms", "segment_ms"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise DataError(f"{name} must be a positive finite number, got {value}")
-        ratio = self.buffer_ms / self.segment_ms
-        if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
-            raise DataError(
-                f"buffer_ms ({self.buffer_ms}) must be an integer multiple of "
-                f"segment_ms ({self.segment_ms})")
-
-    @property
-    def segments_per_buffer(self) -> int:
-        return int(round(self.buffer_ms / self.segment_ms))
 
 
 @dataclass(frozen=True)
@@ -156,10 +141,10 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _block_intensities(chunks: np.ndarray, offset: int, seg_len: int,
-                       model: psy.PsychoModel, cfg: IsmConfig) -> np.ndarray:
+def _block_intensities(chunks: np.ndarray, offset: int, seg_len: int, rate: float,
+                       model: psy.PsychoModel) -> np.ndarray:
     """_start_intensities in one process: BLOCK_ROWS rows at a time."""
-    seg_duration_s = cfg.segment_ms / 1000.0
+    seg_duration_s = seg_len / rate
     out = np.zeros((chunks.shape[0], (chunks.shape[1] - offset) // seg_len),
                    dtype=np.float64)
     for b in range(0, chunks.shape[0], BLOCK_ROWS):
@@ -177,12 +162,12 @@ def _block_intensities(chunks: np.ndarray, offset: int, seg_len: int,
     return out
 
 
-def _start_intensities(chunks: np.ndarray, offset: int, seg_len: int,
-                       model: psy.PsychoModel, cfg: IsmConfig
-                       ) -> Callable[[], np.ndarray]:
+def _start_intensities(chunks: np.ndarray, offset: int, seg_len: int, rate: float,
+                       model: psy.PsychoModel) -> Callable[[], np.ndarray]:
     """Total per-segment intensity of each buffer in a (buffers, samples) stack.
 
-    Every row is `offset` context samples followed by whole segments. Rows
+    Every row is `offset` context samples followed by whole segments of
+    seg_len samples at `rate` Hz, each seg_len / rate seconds long. Rows
     are decomposed BLOCK_ROWS at a time, and all IMFs of a block are measured
     and mapped to intensity in one pass. A stack of PARALLEL_MIN_ROWS or more
     is split into runs of whole blocks across CPUs (see the module
@@ -192,7 +177,7 @@ def _start_intensities(chunks: np.ndarray, offset: int, seg_len: int,
     joins them, so the caller can do other work in between. Without workers
     all the work happens in the call.
     """
-    args = (offset, seg_len, model, cfg)
+    args = (offset, seg_len, rate, model)
     cpus = _usable_cpus() if chunks.shape[0] >= PARALLEL_MIN_ROWS else 1
     pool = _worker_pool(cpus - 1) if cpus > 1 else None
     serial = partial(_block_intensities, chunks, *args)
@@ -220,8 +205,7 @@ def _start_intensities(chunks: np.ndarray, offset: int, seg_len: int,
     return finish
 
 
-def analyze(waveform: Waveform, model: psy.PsychoModel | None = None,
-            config: IsmConfig | None = None) -> AnalysisResult:
+def analyze(waveform: Waveform, model: psy.PsychoModel | None = None) -> AnalysisResult:
     """Compute the per-segment intensity profile and low-frequency channel.
 
     Buffers are processed independently, each carrying one sample of
@@ -231,18 +215,15 @@ def analyze(waveform: Waveform, model: psy.PsychoModel | None = None,
     its context sample, the 8 samples EMD needs), so at 1.4 kHz and above
     the profile covers every full segment of the input. This is one
     StreamingAnalyzer fed the whole waveform, so the two agree bit for bit.
+    The profile's segments last their whole samples: 1000 * seg_len / rate ms.
     """
-    cfg = config or IsmConfig()
-    seg_len = segment_length(cfg.segment_ms, waveform.sample_rate_hz)
-    if len(waveform) < cfg.segments_per_buffer * seg_len:
+    analyzer = StreamingAnalyzer(waveform.sample_rate_hz, model)
+    if len(waveform) < analyzer.buffer_length:
         raise DataError(
-            f"input of {len(waveform)} samples is shorter than one "
-            f"{cfg.buffer_ms} ms buffer")
-
-    analyzer = StreamingAnalyzer(waveform.sample_rate_hz, model, cfg)
+            f"input of {len(waveform)} samples is shorter than one {BUFFER_MS} ms buffer")
     values, lowfreq = analyzer.feed(waveform.samples)
     values = np.concatenate([values, analyzer.finish()])
-    profile = IntensityProfile(values, cfg.segment_ms, start_time_s=0.0)
+    profile = IntensityProfile(values, analyzer.segment_duration_ms, start_time_s=0.0)
     return AnalysisResult(profile=profile, lowfreq=lowfreq)
 
 
@@ -257,15 +238,14 @@ class StreamingAnalyzer:
     the same samples. Call finish() to flush any trailing full segments.
     """
 
-    def __init__(self, sample_rate_hz: float, model: psy.PsychoModel | None = None,
-                 config: IsmConfig | None = None):
+    def __init__(self, sample_rate_hz: float, model: psy.PsychoModel | None = None):
         from scipy.signal import sosfilt_zi
 
         self._model = model or psy.DEFAULT_MODEL
-        self._cfg = config or IsmConfig()
         self._rate = float(sample_rate_hz)
-        self._seg_len = segment_length(self._cfg.segment_ms, self._rate)
-        self._buf_segments = self._cfg.segments_per_buffer
+        self._seg_len = segment_length(SEGMENT_MS, self._rate)
+        self.buffer_length = int(round(BUFFER_MS / SEGMENT_MS)) * self._seg_len
+        self.segment_duration_ms = 1000.0 * self._seg_len / self._rate
         self._sos = lowpass_sos(self._rate)
         self._zi = sosfilt_zi(self._sos) * 0.0  # zero initial conditions
         self._tail = np.empty(0, dtype=np.float64)
@@ -286,8 +266,8 @@ class StreamingAnalyzer:
         self._tail = np.concatenate([self._tail, samples])
 
         pending: list[Callable[[], np.ndarray]] = []
-        buf_len = self._buf_segments * self._seg_len
-        args = (self._seg_len, self._model, self._cfg)
+        buf_len = self.buffer_length
+        args = (self._seg_len, self._rate, self._model)
         if self._context == 0 and self._tail.size >= buf_len:
             pending.append(_start_intensities(self._tail[None, :buf_len], 0, *args))
             # keep the last consumed sample as context for the next buffer
@@ -320,7 +300,7 @@ class StreamingAnalyzer:
         if n_seg < 1 or chunk.size < 8:
             return np.empty(0)
         return _start_intensities(chunk[None], self._context, self._seg_len,
-                                  self._model, self._cfg)()[0]
+                                  self._rate, self._model)()[0]
 
 
 def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...]
@@ -339,8 +319,7 @@ def fuse_channels(profiles: list[IntensityProfile] | tuple[IntensityProfile, ...
 
 
 def synthesize(profile: IntensityProfile, lowfreq: Waveform,
-               model: psy.PsychoModel | None = None,
-               config: IsmConfig | None = None) -> Waveform:
+               model: psy.PsychoModel | None = None) -> Waveform:
     """Resynthesize an amplitude-modulated carrier with the profile's intensity.
 
     Per segment the carrier amplitude is the exact inverse of the intensity
@@ -351,18 +330,17 @@ def synthesize(profile: IntensityProfile, lowfreq: Waveform,
     sample rate and is added back sample for sample.
     """
     model = model or psy.DEFAULT_MODEL
-    cfg = config or IsmConfig()
     if len(profile) == 0:
         raise DataError("cannot synthesize from an empty profile")
     rate = lowfreq.sample_rate_hz
-    if cfg.carrier_hz >= rate / 2.0:
-        raise DataError(f"carrier {cfg.carrier_hz} Hz at or above Nyquist ({rate / 2} Hz)")
+    if CARRIER_HZ >= rate / 2.0:
+        raise DataError(f"carrier {CARRIER_HZ} Hz at or above Nyquist ({rate / 2} Hz)")
 
     seg_len = segment_length(profile.segment_duration_ms, rate)
     n_seg = len(profile)
     n = n_seg * seg_len
 
-    amps = psy.amplitude_for_intensity(profile.values, cfg.carrier_hz, model)
+    amps = psy.amplitude_for_intensity(profile.values, CARRIER_HZ, model)
     amps = np.atleast_1d(np.asarray(amps, dtype=np.float64))
 
     envelope = np.repeat(amps, seg_len).reshape(n_seg, seg_len)
@@ -372,17 +350,16 @@ def synthesize(profile: IntensityProfile, lowfreq: Waveform,
     envelope[:, :fade_len] = prev[:, None] + (amps - prev)[:, None] * ramp[None, :]
     envelope = envelope.reshape(n)
 
-    phase = 2.0 * np.pi * cfg.carrier_hz * np.arange(n, dtype=np.float64) / rate
+    phase = 2.0 * np.pi * CARRIER_HZ * np.arange(n, dtype=np.float64) / rate
     if len(lowfreq) < n:
         raise DataError("low-frequency channel shorter than the synthesized span")
     return Waveform(envelope * np.sin(phase) + lowfreq.samples[:n], rate)
 
 
-def convert(waveform: Waveform, model: psy.PsychoModel | None = None,
-            config: IsmConfig | None = None) -> Waveform:
-    """analyze then synthesize: re-express a vibration on the configured carrier."""
-    result = analyze(waveform, model, config)
-    return synthesize(result.profile, result.lowfreq, model, config)
+def convert(waveform: Waveform, model: psy.PsychoModel | None = None) -> Waveform:
+    """analyze then synthesize: re-express a vibration on the CARRIER_HZ carrier."""
+    result = analyze(waveform, model)
+    return synthesize(result.profile, result.lowfreq, model)
 
 
 def save_intensity_csv(times_s, values, path) -> None:

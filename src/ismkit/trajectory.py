@@ -23,8 +23,14 @@ from .ism import IntensityProfile
 
 QUAT_NORM_TOL = 1e-6
 MAX_PIVOT_CONDITION = 1e6
+# The decimation gates: a kept point is at least this far and this long
+# after the last one
+MIN_SPACING_M = 0.002
+MAX_POINT_RATE_HZ = 200.0
+# A pose takes an intensity recorded at most this far from its time
+ALIGN_TOLERANCE_MS = 20.0
 # Slack on the spacing gate: keeps decimation deterministic when step sizes
-# land exactly on min_spacing and absorbs float32 quantization of positions
+# land exactly on MIN_SPACING_M and absorbs float32 quantization of positions
 # stored in session files (ULP ~1e-7 m at meter scale). One micron is far
 # below any meaningful spacing threshold.
 SPACING_EPSILON_M = 1e-6
@@ -150,19 +156,6 @@ class TrajectoryPoint:
     rgb: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    min_spacing_m: float = 0.002
-    max_point_rate_hz: float = 200.0
-    align_tolerance_ms: float = 20.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise DataError(f"{f.name} must be a positive finite number, got {value}")
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of unit quaternions (w, x, y, z): shape (..., 4) to (..., 3, 3)."""
     q = np.asarray(q, dtype=np.float64)
@@ -209,12 +202,12 @@ def pivot_calibrate(poses: list[PoseSample]) -> tuple[ToolCalibration, float]:
 
 def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
                      calibration: ToolCalibration = IDENTITY_CALIBRATION,
-                     norm: NormalizationConfig = NormalizationConfig(1.0),
-                     config: TrajectoryConfig = TrajectoryConfig()) -> list[TrajectoryPoint]:
+                     norm: NormalizationConfig = NormalizationConfig(1.0)
+                     ) -> list[TrajectoryPoint]:
     """Decimate poses into colored trajectory points.
 
-    A pose is emitted only when its tip has moved at least min_spacing_m from
-    the last emitted point AND at least 1/max_point_rate_hz has elapsed.
+    A pose is emitted only when its tip has moved at least MIN_SPACING_M from
+    the last emitted point AND at least 1/MAX_POINT_RATE_HZ has elapsed.
     Each point takes its pose's aligned_intensity and that value's TURBO colour;
     profile is what aligned_intensity takes.
     Everything but the sequential decimation runs over whole arrays.
@@ -228,13 +221,13 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.nda
         if t <= prev:
             raise DataError(f"pose timestamps not strictly increasing at t_us={t}")
 
-    intensity = aligned_intensity(poses, profile, config)
+    intensity = aligned_intensity(poses, profile)
     # a stacked matmul forms each pose's product as tip_position's does
     tips = (np.array([p.position for p in poses])
             + np.matmul(quat_to_matrix(np.array([p.orientation for p in poses])),
                         calibration.tip_offset))
 
-    kept = _decimate(t_us, tips, config)
+    kept = _decimate(t_us, tips)
     points: list[TrajectoryPoint] = []
     for i, tip in zip(kept, tips[kept]):
         held = float(intensity[i])
@@ -243,9 +236,9 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.nda
     return points
 
 
-def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
-                      config: TrajectoryConfig) -> np.ndarray:
-    """Per pose, the value recorded nearest its time within align_tolerance_ms
+def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.ndarray
+                      ) -> np.ndarray:
+    """Per pose, the value recorded nearest its time within ALIGN_TOLERANCE_MS
     (the earlier on a tie), else the last such value, from 0.
 
     profile is an IntensityProfile, aligned at its segment midpoints rounded
@@ -270,15 +263,15 @@ def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.nd
     d_after = np.where(j < n, np.abs(times[after] - t_us), np.inf)
     take_after = d_after < d_before
     nearest = np.where(take_after, after, before)
-    aligned = np.where(take_after, d_after, d_before) <= config.align_tolerance_ms * 1000.0
+    aligned = np.where(take_after, d_after, d_before) <= ALIGN_TOLERANCE_MS * 1000.0
     last = np.maximum.accumulate(np.where(aligned, np.arange(t_us.size), -1))
     return np.where(last >= 0, values[nearest[np.maximum(last, 0)]], 0.0)
 
 
-def _decimate(t_us: list[int], tips: np.ndarray, config: TrajectoryConfig) -> list[int]:
+def _decimate(t_us: list[int], tips: np.ndarray) -> list[int]:
     """Indices of the poses the spacing and rate gates emit, first pose always."""
-    min_spacing = config.min_spacing_m - SPACING_EPSILON_M
-    min_interval_us = 1e6 / config.max_point_rate_hz
+    min_spacing = MIN_SPACING_M - SPACING_EPSILON_M
+    min_interval_us = 1e6 / MAX_POINT_RATE_HZ
     rows = tips.tolist()
     kept = [0]
     last_t, (lx, ly, lz) = t_us[0], rows[0]

@@ -14,8 +14,8 @@ from ismkit.psychophysics import DEFAULT_MODEL, save_model, threshold_at
 from ismkit.scenario import load_scenario, simulate
 from ismkit.session import Session, record
 from ismkit.signal import MultiChannelWaveform, Waveform
-from ismkit.trajectory import (PoseSample, TrajectoryConfig, aligned_intensity,
-                               build_trajectory, load_ply, save_pose_csv)
+from ismkit.trajectory import (PoseSample, aligned_intensity, build_trajectory, load_ply,
+                               save_pose_csv)
 from ismkit.wavio import load_wav, save_wav
 
 from .test_session import _hand_written_session
@@ -71,8 +71,9 @@ def _stream_recv_while(send, recv_argv) -> int:
     return codes[0]
 
 
-def _send_messages(messages):
-    """A send for _stream_recv_while: these messages and End, once a receiver listens."""
+def _send_messages(messages, end=True):
+    """A send for _stream_recv_while: these messages and (given end) End, once a receiver
+    listens."""
     def send(endpoint):
         try:
             sender = wire.FrameSender(endpoint, policy="block")
@@ -80,7 +81,7 @@ def _send_messages(messages):
             return False
         for message in messages:
             sender.send(message)
-        sender.close()
+        sender.close(send_end=end)
         return True
     return send
 
@@ -242,6 +243,22 @@ class TestAnalyze:
         expected = tmp_path / "expected.csv"
         ism.save_profile_csv(ism.analyze(channel, DEFAULT_MODEL).profile, expected)
         assert out.read_bytes() == expected.read_bytes()
+
+
+class TestAnalyzeTiming:
+    def test_a_44k_session_records_segments_of_their_whole_samples(self, tmp_path):
+        # 5 ms is 220.5 samples at 44.1 kHz; each segment covers 220, 4.989 ms
+        rate = 44100.0
+        wav = tmp_path / "w.wav"
+        save_wav(Waveform(np.random.default_rng(4).standard_normal(int(2 * rate)), rate), wav)
+        out = tmp_path / "w.isms"
+        assert main(["analyze", str(wav), "--out", str(tmp_path / "p.csv"),
+                     "--session", str(out)]) == 0
+        session = Session.open(out)
+        assert session.segment_ms == 1000.0 * 220 / rate
+        t_us = session.intensities[:, 0]
+        assert t_us.size == 400
+        assert t_us[-1] == round((399.5 * 220 / rate) * 1e6) < 2_000_000
 
 
 class TestConvert:
@@ -433,17 +450,17 @@ class TestConfigFile:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
-    def test_flag_overrides_config(self, tmp_path):
-        # config carrier would put the carrier above Nyquist; flag rescues it
+    def test_flag_overrides_config(self, tmp_path, u_model):
+        # the config's model file does not exist; the flag's does
         cfg = tmp_path / "config.txt"
-        cfg.write_text("carrier_hz 4000\n")
+        cfg.write_text(f"model {tmp_path / 'missing.txt'}\n")
         wav = tmp_path / "w.wav"
         save_wav(Waveform(np.zeros(5000), FS), wav)
         out = tmp_path / "o.wav"
         code_bad = main(["--config", str(cfg), "convert", str(wav), str(out)])
-        assert code_bad == 2
+        assert code_bad == 3
         code_good = main(["--config", str(cfg), "convert", str(wav), str(out),
-                          "--carrier", "200"])
+                          "--model", _model_file(tmp_path, u_model)])
         assert code_good == 0
 
     def test_usage_error_on_unknown_command(self, capsys):
@@ -470,23 +487,43 @@ class TestNonFiniteSettings:
     def test_exits_with_a_data_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.txt"
         config.write_text(f"{key} {value}\n")
-        out = str(tmp_path / "out")
-        if SETTINGS[key][3] is ism.IsmConfig:
-            wav = tmp_path / "w.wav"
-            save_wav(Waveform(np.zeros(1000), FS), wav)
-            argv = ["analyze", str(wav), "--out", out]
-        else:
-            poses = tmp_path / "poses.csv"
-            save_pose_csv([PoseSample(i * 10_000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
-                           for i in range(20)], poses)
-            profile = tmp_path / "profile.csv"
-            ism.save_profile_csv(ism.IntensityProfile(np.full(100, 0.5)), profile)
-            argv = ["render", str(poses), "--profile", str(profile), "--out", out]
-        code = main(["--config", str(config), *argv])
+        poses = tmp_path / "poses.csv"
+        save_pose_csv([PoseSample(i * 10_000, np.array([i * 0.01, 0.0, 0.0]), IDENTITY_Q)
+                       for i in range(20)], poses)
+        profile = tmp_path / "profile.csv"
+        ism.save_profile_csv(ism.IntensityProfile(np.full(100, 0.5)), profile)
+        code = main(["--config", str(config), "render", str(poses), "--profile", str(profile),
+                     "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error[data]: {key} must be a positive finite number")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestRemovedSettings:
+    """The framing, carrier and trajectory gates are constants: their keys and flags are unknown."""
+
+    KEYS = ["carrier_hz", "buffer_ms", "segment_ms", "min_spacing_m", "max_point_rate_hz",
+            "align_tolerance_ms"]
+    FLAGS = ["--carrier", "--buffer-ms", "--segment-ms", "--min-spacing", "--max-rate"]
+
+    @pytest.mark.parametrize("setting", KEYS + FLAGS)
+    def test_exits_with_a_usage_error(self, tmp_path, capsys, setting):
+        wav = tmp_path / "w.wav"
+        save_wav(Waveform(np.zeros(1000), FS), wav)
+        argv = ["analyze", str(wav), "--out", str(tmp_path / "p.csv")]
+        if setting.startswith("--"):
+            argv += [setting, "5"]
+        else:
+            config = tmp_path / "config.txt"
+            config.write_text(f"{setting} 5\n")
+            argv = ["--config", str(config), *argv]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error[usage]: ")
+        assert setting in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestStreamLoopback:
@@ -584,7 +621,7 @@ class TestStreamLoopback:
         ints = [m for m in messages if isinstance(m, wire.IntensityOnly)]
         expected = aligned_intensity(
             [PoseSample(m.t_us, m.position, m.quaternion) for m in frames],
-            [(m.t_us, m.intensity) for m in ints], TrajectoryConfig())
+            [(m.t_us, m.intensity) for m in ints])
         assert len(set(expected.tolist())) > 1
         assert [m.intensity for m in frames] == expected.tolist()
         assert [m.rgb for m in frames] == [map_color(normalize(v, NormalizationConfig(3.0)))
@@ -794,6 +831,46 @@ class TestStreamLoopback:
             "error[protocol]: stream ended without a Hello"]
         assert not (tmp_path / out).exists()
 
+    @pytest.mark.parametrize("out", ["cut.isms", "cut.ply"])
+    def test_stream_recv_of_a_cut_stream_writes_what_arrived_then_exits_4(self, tmp_path,
+                                                                         capsys, out):
+        # the peer sends a Hello, five poses and their intensities, and closes without End
+        messages = [wire.Hello(1, 5000, 50)]
+        for i in range(5):
+            messages += [wire.IntensityOnly(i * 10_000, 0.5 * i),
+                         wire.Frame(i * 10_000, (0.005 * i, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                                    0.5 * i, (1, 2, 3))]
+        path = tmp_path / out
+        assert _stream_recv_while(_send_messages(messages, end=False),
+                                  ["--out", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert "received=11 frames=5 " in captured.out
+        assert captured.err.splitlines() == [
+            "error[protocol]: stream ended without End after 11 messages"]
+        if out.endswith(".isms"):
+            session = Session.open(path)
+            assert [p.t_us for p in session.poses] == [i * 10_000 for i in range(5)]
+            assert session.intensities[:, 1].tolist() == [0.5 * i for i in range(5)]
+        else:
+            assert load_ply(path)[0][:, 0].tolist() == [0.005 * i for i in range(5)]
+
+    def test_stream_recv_reports_decode_errors(self, tmp_path, capsys):
+        # a message of an unknown type between the Hello and End
+        def send(endpoint):
+            host, port = endpoint.split(":")
+            try:
+                conn = socket.create_connection((host, int(port)))
+            except OSError:
+                return False
+            with conn:
+                conn.sendall(wire.encode(wire.Hello(1, 5000, 50))
+                             + wire._HEADER.pack(wire.MAGIC, 99, 0) * 2
+                             + wire.encode(wire.End()))
+            return True
+        assert _stream_recv_while(send, ["--out", str(tmp_path / "r.isms")]) == 0
+        out = capsys.readouterr().out
+        assert "received=2 frames=0 resync_bytes=0 decode_errors=2 " in out
+
 
 # 10 s of steady motion at 120 Hz: every third pose sits on a 5 ms segment
 # boundary, and render keeps about one pose in three
@@ -935,22 +1012,12 @@ class TestComposition:
 
 def _settings(cfg) -> dict:
     """Every setting as the commands see it, by config key."""
-    ism_config, trajectory_config = cfg.ism_config(), cfg.trajectory_config()
-    return {"model": cfg.model_path, "i_max": cfg.norm().i_max,
-            "carrier_hz": ism_config.carrier_hz, "buffer_ms": ism_config.buffer_ms,
-            "segment_ms": ism_config.segment_ms, "endpoint": cfg.endpoint,
-            "min_spacing_m": trajectory_config.min_spacing_m,
-            "max_point_rate_hz": trajectory_config.max_point_rate_hz,
-            "align_tolerance_ms": trajectory_config.align_tolerance_ms}
+    return {"model": cfg.model_path, "i_max": cfg.norm().i_max, "endpoint": cfg.endpoint}
 
 
 class TestSettings:
-    FILE = {"model": "file_model.txt", "i_max": 2.5, "carrier_hz": 180.0, "buffer_ms": 120.0,
-            "segment_ms": 6.0, "endpoint": "127.0.0.1:1001", "min_spacing_m": 0.003,
-            "max_point_rate_hz": 150.0, "align_tolerance_ms": 30.0}
-    FLAGS = {"--model": "flag_model.txt", "--imax": "3.5", "--carrier": "190",
-             "--buffer-ms": "90", "--segment-ms": "3", "--endpoint": "127.0.0.1:1002",
-             "--min-spacing": "0.004", "--max-rate": "120"}
+    FILE = {"model": "file_model.txt", "i_max": 2.5, "endpoint": "127.0.0.1:1001"}
+    FLAGS = {"--model": "flag_model.txt", "--imax": "3.5", "--endpoint": "127.0.0.1:1002"}
 
     def _resolve(self, tmp_path, *argv):
         config = tmp_path / "config.txt"
@@ -966,18 +1033,12 @@ class TestSettings:
     def test_flag_beats_file(self, tmp_path):
         flags = [part for item in self.FLAGS.items() for part in item]
         got = self._resolve(tmp_path, "--config", "CONFIG", "replay", "s.isms", *flags)
-        # align_tolerance_ms has no flag, so the file's value stands
-        assert got == {"model": "flag_model.txt", "i_max": 3.5, "carrier_hz": 190.0,
-                       "buffer_ms": 90.0, "segment_ms": 3.0, "endpoint": "127.0.0.1:1002",
-                       "min_spacing_m": 0.004, "max_point_rate_hz": 120.0,
-                       "align_tolerance_ms": 30.0}
+        assert got == {"model": "flag_model.txt", "i_max": 3.5, "endpoint": "127.0.0.1:1002"}
 
     def test_environment_endpoint_when_neither_gives_one(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ISMKIT_ENDPOINT", "127.0.0.1:1003")
         assert self._resolve(tmp_path, "replay", "s.isms") == {
-            "model": None, "i_max": 1.0, "carrier_hz": 200.0, "buffer_ms": 100.0,
-            "segment_ms": 5.0, "endpoint": "127.0.0.1:1003", "min_spacing_m": 0.002,
-            "max_point_rate_hz": 200.0, "align_tolerance_ms": 20.0}
+            "model": None, "i_max": 1.0, "endpoint": "127.0.0.1:1003"}
 
 
 NOT_UTF8 = b"\xff\xfe\x80 not text\n"

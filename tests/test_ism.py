@@ -88,6 +88,30 @@ class TestAnalyze:
         assert len(ism.analyze(Waveform(x[:1405], 1000.0), u_model).profile) == 280
         assert len(ism.analyze(Waveform(x, 1000.0), u_model).profile) == 282
 
+    @pytest.mark.parametrize("rate", [1000.0, 2000.0, 5000.0, 8000.0, 10000.0, 48000.0])
+    def test_segments_last_5_ms_to_the_bit_where_5_ms_is_whole_samples(self, u_model, rate):
+        seg_len = segment_length(5.0, rate)
+        assert seg_len / rate == 5.0 / 1000.0
+        x = np.random.default_rng(3).standard_normal(20 * seg_len + 1)
+        assert ism.analyze(Waveform(x, rate), u_model).profile.segment_duration_ms == 5.0
+
+    @pytest.mark.parametrize("rate", [4410.0, 22050.0, 44100.0])
+    def test_segments_are_timed_by_their_whole_samples(self, u_model, rate):
+        # 5 ms is 22.05 samples at 4.41 kHz: each segment covers 22, 4.989 ms,
+        # so 5 ms stamps would drift 2.3 ms per second of input
+        duration_s, onset_s = 12.0, 9.0
+        t = np.arange(int(duration_s * rate)) / rate
+        x = np.where(t >= onset_s, 2 * threshold_at(u_model, 300.0)
+                     * np.sin(2 * np.pi * 300.0 * t), 0.0)
+        profile = ism.analyze(Waveform(x, rate), u_model).profile
+        assert profile.segment_duration_ms == 1000.0 * segment_length(5.0, rate) / rate
+        midpoints = profile.midpoints_s()
+        assert midpoints[-1] < duration_s
+        assert abs(midpoints[np.argmax(profile.values > 0.5)] - onset_s) < 0.005
+        # a steady tone at twice its threshold reads 2, as at 5 kHz
+        assert np.median(profile.values[midpoints > onset_s + 0.1]) == pytest.approx(
+            2.0, rel=0.05)
+
 
 class TestFuseChannels:
     def test_identical_profiles(self):
@@ -184,10 +208,10 @@ class TestSynthesize:
         assert np.allclose(out.samples[25:], expected[25:], atol=1e-9 * a_t)
 
     def test_carrier_above_nyquist_rejected(self, u_model):
+        # at 400 Hz the 200 Hz carrier sits on Nyquist
         profile = ism.IntensityProfile(np.ones(5))
-        with pytest.raises(DataError):
-            ism.synthesize(profile, _silence(profile), u_model,
-                           ism.IsmConfig(carrier_hz=3000.0))
+        with pytest.raises(DataError, match="Nyquist"):
+            ism.synthesize(profile, Waveform(np.zeros(10), 400.0), u_model)
 
     def test_empty_profile_rejected(self, u_model):
         with pytest.raises(DataError):
@@ -308,41 +332,6 @@ class TestProfileCsv:
             ism.IntensityProfile(np.ones(3), duration_ms, start_s)
 
 
-class TestIsmConfig:
-    def test_buffer_must_be_segment_multiple(self):
-        with pytest.raises(DataError):
-            ism.IsmConfig(buffer_ms=101.0)
-
-    @pytest.mark.parametrize("field", ["carrier_hz", "buffer_ms", "segment_ms"])
-    @pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
-    def test_floats_must_be_positive_and_finite(self, field, value):
-        with pytest.raises(DataError, match=field):
-            ism.IsmConfig(**{field: value})
-
-    def test_buffer_of_no_whole_segment_rejected(self):
-        # 100 / 1e12 rounds to 0 segments per buffer
-        with pytest.raises(DataError):
-            ism.IsmConfig(segment_ms=1e12)
-
-    def test_defaults(self):
-        cfg = ism.IsmConfig()
-        assert cfg.carrier_hz == 200.0
-        assert cfg.segments_per_buffer == 20
-
-    def test_nondefault_segment_length(self, u_model):
-        # 10 ms segments: a 100 Hz tone becomes resolvable (2 crossings)
-        cfg = ism.IsmConfig(segment_ms=10.0)
-        a_t = threshold_at(u_model, 100.0)
-        w = _tone(100.0, amp=a_t)
-        values = ism.analyze(w, u_model, cfg).profile.values
-        assert len(values) == 100
-        steady = values[10:-10]
-        assert np.median(steady) == pytest.approx(1.0, rel=0.1)
-        profile = ism.analyze(w, u_model, cfg).profile
-        out = ism.synthesize(profile, _silence(profile), u_model, cfg)
-        assert len(out) == 100 * 50
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPU count the split sees, so a one-CPU runner takes the pool path too.
@@ -374,7 +363,7 @@ class TestParallelSplit:
     def test_split_equals_serial_block_loop(self, cpus, u_model, n_cpus, offset, rows_past):
         n_rows = ism.PARALLEL_MIN_ROWS + rows_past
         chunks = _stack(n_rows, offset)
-        args = (offset, 25, u_model, ism.IsmConfig())
+        args = (offset, 25, FS, u_model)
         cpus(n_cpus)
         got = ism._start_intensities(chunks, *args)()
         assert (ism._pool is not None) == (n_rows >= ism.PARALLEL_MIN_ROWS)
@@ -388,7 +377,7 @@ class TestParallelSplit:
         monkeypatch.setattr(emd, "BOUNDARY", boundary)
         monkeypatch.setattr(emd, "SIFT_SD_THRESHOLD", 0.05)
         chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1, seed=boundary)
-        args = (1, 25, u_model, ism.IsmConfig())
+        args = (1, 25, FS, u_model)
         cpus(2)
         got = ism._start_intensities(chunks, *args)()
         assert ism._pool is not None
@@ -396,7 +385,7 @@ class TestParallelSplit:
 
     def test_stays_serial_while_other_threads_run(self, cpus, u_model):
         chunks = _stack(ism.PARALLEL_MIN_ROWS, 1)
-        args = (1, 25, u_model, ism.IsmConfig())
+        args = (1, 25, FS, u_model)
         cpus(2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -467,7 +456,7 @@ class TestParallelSplit:
 
     def test_pool_found_broken_before_handing_out_runs(self, cpus, u_model):
         chunks = _stack(ism.PARALLEL_MIN_ROWS + 44, 1)
-        args = (1, 25, u_model, ism.IsmConfig())
+        args = (1, 25, FS, u_model)
         cpus(2)
         want = ism._block_intensities(chunks, *args)
         assert np.array_equal(ism._start_intensities(chunks, *args)(), want)

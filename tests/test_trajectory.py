@@ -2,17 +2,19 @@ import math
 import pickle
 import sys
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ismkit import trajectory
 from ismkit.colormap import TURBO, NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
 from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
-                               TrajectoryConfig, aligned_intensity, build_trajectory,
-                               export_ply,
+                               aligned_intensity, build_trajectory, export_ply,
                                load_calibration, load_ply, load_pose_csv,
                                pivot_calibrate, quat_to_matrix, save_calibration,
                                save_pose_csv, tip_position, validate_poses)
@@ -21,6 +23,20 @@ from .reference_trajectory import reference_trajectory
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 EPS = sys.float_info.epsilon
+
+
+def _gates(**changed) -> SimpleNamespace:
+    """The trajectory gates as reference_trajectory takes them: the constants, some changed."""
+    return SimpleNamespace(**{"min_spacing_m": trajectory.MIN_SPACING_M,
+                              "max_point_rate_hz": trajectory.MAX_POINT_RATE_HZ,
+                              "align_tolerance_ms": trajectory.ALIGN_TOLERANCE_MS} | changed)
+
+
+def _patched(gates: SimpleNamespace):
+    """Set the trajectory constants to these gates while the context lasts."""
+    return mock.patch.multiple(trajectory, MIN_SPACING_M=gates.min_spacing_m,
+                               MAX_POINT_RATE_HZ=gates.max_point_rate_hz,
+                               ALIGN_TOLERANCE_MS=gates.align_tolerance_ms)
 
 
 def _random_quat(rng):
@@ -360,8 +376,8 @@ class TestBuildTrajectory:
         poses = [PoseSample(i * 1000, np.array([i * 0.001, 0.0, 0.0]), IDENTITY_Q)
                  for i in range(1000)]
         profile = IntensityProfile(np.full(200, 1.0))
-        points = build_trajectory(
-            poses, profile, config=TrajectoryConfig(min_spacing_m=0.0001))
+        with _patched(_gates(min_spacing_m=0.0001)):
+            points = build_trajectory(poses, profile)
         dts = np.diff([p.t_us for p in points])
         assert np.all(dts >= 5000)
 
@@ -377,14 +393,14 @@ def _same_points(got, want):
 
 @st.composite
 def _trajectory_case(draw):
-    """Poses, profile and settings that sit on the edges of every rule."""
+    """Poses, profile and gates that sit on the edges of every rule."""
     seg_ms = draw(st.sampled_from([5.0, 2.5, 10.0, 7.3]))
     start_s = draw(st.sampled_from([0.0, 0.0123]))
     n_seg = draw(st.integers(1, 40))
     values = draw(st.lists(st.floats(0.0, 5.0), min_size=n_seg, max_size=n_seg))
     profile = IntensityProfile(np.array(values), seg_ms, start_time_s=start_s)
     tol_ms = draw(st.sampled_from([20.0, 2.5, seg_ms / 2, 0.5]))
-    config = TrajectoryConfig(
+    config = _gates(
         min_spacing_m=draw(st.sampled_from([0.002, 0.0005, 0.01])),
         max_point_rate_hz=draw(st.sampled_from([200.0, 1000.0, 37.0])),
         align_tolerance_ms=tol_ms)
@@ -433,28 +449,26 @@ class TestAlignedIntensity:
         rows = np.column_stack([np.round(profile.midpoints_s() * 1e6), profile.values])
         poses = [PoseSample(int(t), np.zeros(3), IDENTITY_Q)
                  for t in np.unique(rng.integers(0, 1_600_000, 500))]
-        config = TrajectoryConfig()
-        assert np.array_equal(aligned_intensity(poses, profile, config),
-                              aligned_intensity(poses, rows, config))
+        assert np.array_equal(aligned_intensity(poses, profile),
+                              aligned_intensity(poses, rows))
 
     def test_rows_in_any_order_align_as_in_time_order(self):
         rng = np.random.default_rng(12)
         rows = np.column_stack([np.sort(rng.choice(500_000, 80, replace=False)),
                                 rng.uniform(0, 1, 80)])
         poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in range(0, 500_000, 3_000)]
-        config = TrajectoryConfig()
-        want = aligned_intensity(poses, rows, config)
+        want = aligned_intensity(poses, rows)
         assert len(set(want.tolist())) > 10
-        assert np.array_equal(aligned_intensity(poses, rows[rng.permutation(80)], config), want)
+        assert np.array_equal(aligned_intensity(poses, rows[rng.permutation(80)]), want)
 
     def test_no_rows_give_zero_per_pose(self):
         poses = [PoseSample(t, np.zeros(3), IDENTITY_Q) for t in (0, 10, 20)]
-        assert aligned_intensity(poses, [], TrajectoryConfig()).tolist() == [0.0] * 3
+        assert aligned_intensity(poses, []).tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_a_bad_value_is_a_data_error_even_with_no_poses(self, bad):
         with pytest.raises(DataError, match="finite and non-negative"):
-            aligned_intensity([], [(0, 1.0), (5, bad)], TrajectoryConfig())
+            aligned_intensity([], [(0, 1.0), (5, bad)])
 
 
 class TestBuildTrajectoryMatchesReference:
@@ -464,7 +478,8 @@ class TestBuildTrajectoryMatchesReference:
         poses, profile, calibration, norm, config = case
         if not poses:
             return
-        got = build_trajectory(poses, profile, calibration, norm=norm, config=config)
+        with _patched(config):
+            got = build_trajectory(poses, profile, calibration, norm=norm)
         want = reference_trajectory(poses, profile, calibration, TURBO, norm, config)
         _same_points(got, want)
 
@@ -473,19 +488,20 @@ class TestBuildTrajectoryMatchesReference:
         poses = _pivot_poses(offset, np.array([0.3, 0.2, 0.1]), n=300, noise=0.01)
         profile = IntensityProfile(np.random.default_rng(2).uniform(0, 2, 700))
         for calibration in (ToolCalibration(np.zeros(3)), ToolCalibration(offset)):
-            config = TrajectoryConfig(min_spacing_m=0.005)
-            _same_points(build_trajectory(poses, profile, calibration, config=config),
-                         reference_trajectory(poses, profile, calibration, TURBO,
+            config = _gates(min_spacing_m=0.005)
+            with _patched(config):
+                got = build_trajectory(poses, profile, calibration)
+            _same_points(got, reference_trajectory(poses, profile, calibration, TURBO,
                                               NormalizationConfig(1.0), config))
 
     def test_exact_spacing_threshold(self):
-        # steps of exactly min_spacing_m - SPACING_EPSILON_M sit on the gate
-        config = TrajectoryConfig(min_spacing_m=0.002)
+        # steps of exactly MIN_SPACING_M - SPACING_EPSILON_M sit on the gate
+        config = _gates()
         step = config.min_spacing_m - SPACING_EPSILON_M
         poses = [PoseSample(i * 10_000, np.array([0.0, i * step, 0.0]), IDENTITY_Q)
                  for i in range(60)]
         profile = IntensityProfile(np.ones(200))
-        got = build_trajectory(poses, profile, config=config)
+        got = build_trajectory(poses, profile)
         _same_points(got, reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)),
                                                TURBO, NormalizationConfig(1.0), config))
 
@@ -502,11 +518,12 @@ class TestBuildTrajectoryMatchesReference:
                 break
         else:
             pytest.skip("no rounding tie found")
-        config = TrajectoryConfig(min_spacing_m=spacing)
+        config = _gates(min_spacing_m=spacing)
         poses = [PoseSample(0, np.zeros(3), IDENTITY_Q),
                  PoseSample(100_000, d, IDENTITY_Q)]
         profile = IntensityProfile(np.ones(50))
-        got = build_trajectory(poses, profile, config=config)
+        with _patched(config):
+            got = build_trajectory(poses, profile)
         want = reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)), TURBO,
                                     NormalizationConfig(1.0), config)
         assert len(got) == len(want) == 2
