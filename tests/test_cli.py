@@ -480,10 +480,21 @@ class TestConfigFile:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error[usage]:")
 
 
+# The keys of the framing, carrier and trajectory gates, which are constants now.
+REMOVED_KEYS = ["carrier_hz", "buffer_ms", "segment_ms", "min_spacing_m", "max_point_rate_hz",
+                "align_tolerance_ms"]
+
+
 class TestNonFiniteSettings:
+    """A non-finite value in a config file is one error line, never a traceback.
+
+    A float setting's value is a data error (exit 2).  A removed key is refused as
+    unknown (exit 1) before its value is read, whatever that value is.
+    """
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", [key for key, (kind, *_) in SETTINGS.items()
-                                     if kind is float])
+                                     if kind is float] + REMOVED_KEYS)
     def test_exits_with_a_data_error(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.txt"
         config.write_text(f"{key} {value}\n")
@@ -495,19 +506,22 @@ class TestNonFiniteSettings:
         code = main(["--config", str(config), "render", str(poses), "--profile", str(profile),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error[data]: {key} must be a positive finite number")
+        if key in REMOVED_KEYS:
+            assert code == 1
+            assert err.startswith("error[usage]: ") and key in err
+        else:
+            assert code == 2
+            assert err.startswith(f"error[data]: {key} must be a positive finite number")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRemovedSettings:
     """The framing, carrier and trajectory gates are constants: their keys and flags are unknown."""
 
-    KEYS = ["carrier_hz", "buffer_ms", "segment_ms", "min_spacing_m", "max_point_rate_hz",
-            "align_tolerance_ms"]
     FLAGS = ["--carrier", "--buffer-ms", "--segment-ms", "--min-spacing", "--max-rate"]
 
-    @pytest.mark.parametrize("setting", KEYS + FLAGS)
+    @pytest.mark.parametrize("setting", REMOVED_KEYS + FLAGS)
     def test_exits_with_a_usage_error(self, tmp_path, capsys, setting):
         wav = tmp_path / "w.wav"
         save_wav(Waveform(np.zeros(1000), FS), wav)
