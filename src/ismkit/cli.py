@@ -3,7 +3,11 @@
 Commands are batch/file oriented plus two streaming commands. Every error
 exits nonzero with a single machine-parseable stderr line of the form
 `error[<kind>]: <message>`; exit codes are 0 ok, 1 usage, 2 data, 3 I/O,
-4 protocol.
+4 protocol, and 130 for a run stopped by SIGINT (`error[interrupted]`).
+
+`render` aligns poses to intensity rows at their recorded times: a
+session's rows, or a `--profile` CSV's rows as written (times rounded to
+whole microseconds), never a grid rebuilt from them.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 EXIT_PROTOCOL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 # config key: (value type, argparse dest of its flag, flag help)
 SETTINGS = {
@@ -150,17 +155,23 @@ def _render(poses, profile, cfg: CliConfig, out, calibration=IDENTITY_CALIBRATIO
     return len(points)
 
 
+def _profile_rows(path) -> np.ndarray:
+    """A profile CSV's (t_us, value) rows as written, as a session holds its intensities."""
+    times_s, values = ism.load_intensity_csv(path)
+    return np.column_stack([np.round(np.array(times_s) * 1e6), values])
+
+
 def cmd_render(args) -> int:
     cfg = build_cli_config(args)
     if str(args.input).endswith(".isms"):
         session = sess.Session.open(args.input)
         poses = session.poses
-        profile = ism.load_profile_csv(args.profile) if args.profile else session.intensities
+        profile = _profile_rows(args.profile) if args.profile else session.intensities
     else:
         poses = load_pose_csv(args.input)
         if not args.profile:
             raise UsageError("pose CSV input requires --profile")
-        profile = ism.load_profile_csv(args.profile)
+        profile = _profile_rows(args.profile)
     calibration = load_calibration(args.calibration) if args.calibration else IDENTITY_CALIBRATION
     points = _render(poses, profile, cfg, args.out, calibration)
     print(f"rendered points={points} out={args.out}")
@@ -391,6 +402,8 @@ def main(argv=None) -> int:
         return _fail("io", str(exc), EXIT_IO)
     except IsmkitError as exc:
         return _fail("data", str(exc), EXIT_DATA)
+    except KeyboardInterrupt:
+        return _fail("interrupted", "stopped by SIGINT", EXIT_INTERRUPTED)
 
 
 if __name__ == "__main__":

@@ -376,12 +376,8 @@ def save_profile_csv(profile: IntensityProfile, path) -> None:
     save_intensity_csv(profile.midpoints_s(), profile.values, path)
 
 
-def load_profile_csv(path) -> IntensityProfile:
-    """Read a profile CSV back, its rows taken as segment midpoints.
-
-    The segment duration is the median spacing of the times (SEGMENT_MS for
-    one row), and the profile starts half a segment before the first.
-    """
+def load_intensity_csv(path) -> tuple[list[float], list[float]]:
+    """Read `t_s,intensity` rows as written: (times_s, values), at least one row."""
     times: list[float] = []
     values: list[float] = []
     with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
@@ -401,5 +397,17 @@ def load_profile_csv(path) -> IntensityProfile:
                 raise FileFormatError(f"{path}:{lineno}: bad row {row!r}") from None
     if not values:
         raise FileFormatError(f"{path}: no intensity rows")
+    return times, values
+
+
+def load_profile_csv(path) -> IntensityProfile:
+    """Read a profile CSV back, its rows taken as segment midpoints.
+
+    The segment duration is the median spacing of the times (SEGMENT_MS for
+    one row), and the profile starts half a segment before the first. Where a
+    segment is not a whole number of microseconds, that grid drifts from the
+    rows as written; load_intensity_csv gives the rows themselves.
+    """
+    times, values = load_intensity_csv(path)
     dur_ms = float(np.median(np.diff(times))) * 1000.0 if len(times) > 1 else SEGMENT_MS
     return IntensityProfile(values, dur_ms, start_time_s=times[0] - dur_ms / 2000.0)

@@ -13,10 +13,17 @@ A scenario is a plain-text file describing a tool path and its texture:
 Vibration per channel is speed-proportional band-limited noise plus decaying
 800 Hz impact bursts; poses are sampled at 120 Hz along the path. Everything
 is driven by one seed, so a scenario regenerates bit-identically.
+
+`simulate` works once per call, not per sample or pose: the vibration takes
+the path's speed alone, from one search over the legs' end times, without
+positions; the band-pass is designed once per (band, rate), each call
+filtering with its own copy; and the poses pass one validate_poses check
+and share one identity orientation array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,11 +32,14 @@ from scipy import signal as sp_signal
 
 from .errors import DataError, FileFormatError, decoding
 from .signal import MultiChannelWaveform, Waveform
-from .trajectory import PoseSample
+from .trajectory import (PoseSample, _set_orientation, _set_position, _set_t_us,
+                         validate_poses)
 
 POSE_RATE_HZ = 120.0
 IMPACT_TONE_HZ = 800.0
 N_CHANNELS = 4
+# band-pass designs kept: one per (band, rate) in use
+BANDPASS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,10 @@ class SyntheticScenario:
             raise DataError("roughness must be finite and >= 0")
         if not 0 < self.sample_rate_hz < math.inf:
             raise DataError("sample rate must be positive and finite")
+        # simulate draws round(duration * rate) samples, and 0.5 rounds to none
+        if not self.duration_s * self.sample_rate_hz > 0.5:
+            raise DataError(f"duration {self.duration_s} s holds no sample at "
+                            f"{self.sample_rate_hz} Hz")
         lo, hi = self.noise_band_hz
         if not 0 < lo < hi < self.sample_rate_hz / 2:
             raise DataError(f"noise band {self.noise_band_hz} invalid for rate "
@@ -137,14 +151,13 @@ def load_scenario(path) -> SyntheticScenario:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _path_profile(scenario: SyntheticScenario, t: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Position (n, 3) and speed (n,) along the waypoint path at times t.
+def _legs(scenario: SyntheticScenario) -> list[tuple[float, float, np.ndarray, np.ndarray, float]]:
+    """The path's legs of nonzero length, each (t_start, t_end, p0, p1, speed).
 
     The tool moves through the waypoints at each leg's speed and then holds
-    at the final waypoint with zero speed.
+    at the final waypoint with zero speed; each leg starts where the last ends.
     """
-    legs = []  # (t_start, t_end, p0, p1, speed)
+    legs = []
     t_cursor = 0.0
     wp = scenario.waypoints
     for a, b in zip(wp, wp[1:]):
@@ -154,18 +167,46 @@ def _path_profile(scenario: SyntheticScenario, t: np.ndarray
         dt = dist / b.speed_mps
         legs.append((t_cursor, t_cursor + dt, a.position, b.position, b.speed_mps))
         t_cursor += dt
+    return legs
 
-    pos = np.tile(wp[-1].position, (t.size, 1))
-    speed = np.zeros(t.size)
+
+def _path_positions(scenario: SyntheticScenario, legs, t: np.ndarray) -> np.ndarray:
+    """Position (n, 3) along the waypoint path at times t."""
+    wp = scenario.waypoints
     if not legs:
-        return np.tile(wp[0].position, (t.size, 1)), speed
-    for t0, t1, p0, p1, v in legs:
+        return np.tile(wp[0].position, (t.size, 1))
+    pos = np.tile(wp[-1].position, (t.size, 1))
+    for t0, t1, p0, p1, _ in legs:
         mask = (t >= t0) & (t < t1)
         if np.any(mask):
             frac = ((t[mask] - t0) / (t1 - t0))[:, None]
             pos[mask] = p0 + (p1 - p0) * frac
-            speed[mask] = v
-    return pos, speed
+    return pos
+
+
+def _path_speed(legs, t: np.ndarray) -> np.ndarray:
+    """Speed (n,) along the path at times t: a leg's speed from its start to
+    before its end, and zero before the first leg and after the last."""
+    # the legs tile [0, end) in order, so one search finds each time's leg
+    # (a leg that ends where it starts holds no time)
+    edges = np.array([0.0] + [t1 for _, t1, _, _, _ in legs])
+    speeds = np.array([v for _, _, _, _, v in legs] + [0.0])
+    return speeds[np.searchsorted(edges, t, side="right") - 1]
+
+
+@functools.lru_cache(maxsize=BANDPASS_CACHE_SIZE)
+def _bandpass_design(lo_hz: float, hi_hz: float, rate: float) -> np.ndarray:
+    sos = sp_signal.butter(4, (lo_hz, hi_hz), btype="band", fs=rate, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
+def _bandpass_sos(band: tuple[float, float], rate: float) -> np.ndarray:
+    """The 4th-order Butterworth band-pass as a biquad cascade, designed once
+    per (band, rate); each caller gets its own writable copy, as sosfilt
+    refuses a read-only array."""
+    lo, hi = band
+    return _bandpass_design(float(lo), float(hi), float(rate)).copy()
 
 
 def simulate(scenario: SyntheticScenario, seed: int = 0
@@ -179,7 +220,8 @@ def simulate(scenario: SyntheticScenario, seed: int = 0
     rate = scenario.sample_rate_hz
     n = int(round(scenario.duration_s * rate))
     t = np.arange(n) / rate
-    _, speed = _path_profile(scenario, t)
+    legs = _legs(scenario)
+    speed = _path_speed(legs, t)
 
     bursts = np.zeros(n)
     for impact in scenario.impacts:
@@ -190,21 +232,30 @@ def simulate(scenario: SyntheticScenario, seed: int = 0
         bursts[i0:] += impact.amplitude * np.exp(-tail / impact.decay_s) * np.sin(
             2.0 * np.pi * IMPACT_TONE_HZ * tail)
 
-    sos = sp_signal.butter(4, scenario.noise_band_hz, btype="band", fs=rate, output="sos")
+    sos = _bandpass_sos(scenario.noise_band_hz, rate)
+    gain = scenario.roughness * speed
     rng = np.random.default_rng(seed)
     channels = []
     for _ in range(N_CHANNELS):
         noise = sp_signal.sosfilt(sos, rng.standard_normal(n))
-        rms = float(np.sqrt(np.mean(noise ** 2))) if n else 1.0
+        rms = float(np.sqrt(np.mean(noise ** 2)))
         if rms > 0:
             noise /= rms
-        channels.append(Waveform(scenario.roughness * speed * noise + bursts, rate))
+        channels.append(Waveform(gain * noise + bursts, rate))
     vibration = MultiChannelWaveform(tuple(channels))
 
     n_poses = int(round(scenario.duration_s * POSE_RATE_HZ))
     pose_t = np.arange(n_poses) / POSE_RATE_HZ
-    pose_pos, _ = _path_profile(scenario, pose_t)
     identity = np.array([1.0, 0.0, 0.0, 0.0])
-    poses = [PoseSample(int(round(ts * 1e6)), pose_pos[i], identity)
-             for i, ts in enumerate(pose_t)]
+    positions, _ = validate_poses(_path_positions(scenario, legs, pose_t),
+                                  np.broadcast_to(identity, (n_poses, 4)))
+    # rint rounds half to even, as round() does
+    t_us = np.rint(pose_t * 1e6).astype(np.int64).tolist()
+    poses = []
+    for t_pose, position in zip(t_us, positions):
+        pose = object.__new__(PoseSample)
+        _set_t_us(pose, t_pose)
+        _set_position(pose, position)
+        _set_orientation(pose, identity)
+        poses.append(pose)
     return vibration, poses

@@ -1,7 +1,12 @@
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +359,29 @@ class TestRender:
         assert code == 1
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    # a 5 ms segment is 220 or 110 samples, 4988.66 us: no whole number of
+    # microseconds, so a grid rebuilt from the CSV's rounded times drifts
+    @pytest.mark.parametrize("rate", ["44100", "22050"])
+    def test_replay_csvs_render_as_their_session(self, tmp_path, rate):
+        scn = tmp_path / "moving.txt"
+        scn.write_text(SCENARIO.replace("sample_rate_hz 5000", f"sample_rate_hz {rate}")
+                       .replace("duration_s 1.5", "duration_s 5")
+                       .replace("waypoint 0.1 0 0 0.1", "waypoint 2 0 0 0.1"))
+        src = tmp_path / "moving.isms"
+        assert main(["simulate", str(scn), "--out", str(src), "--seed", "3"]) == 0
+        assert main(["render", str(src), "--out", str(tmp_path / "session.ply"),
+                     "--imax", "3"]) == 0
+        pose_csv, ints_csv = tmp_path / "poses.csv", tmp_path / "ints.csv"
+        assert main(["replay", str(src), "--speed", "inf", "--pose-csv", str(pose_csv),
+                     "--intensity-csv", str(ints_csv)]) == 0
+        assert main(["render", str(pose_csv), "--profile", str(ints_csv),
+                     "--out", str(tmp_path / "csv.ply"), "--imax", "3"]) == 0
+        assert (tmp_path / "csv.ply").read_bytes() == (tmp_path / "session.ply").read_bytes()
+        # the session given the same CSV as --profile renders the same too
+        assert main(["render", str(src), "--profile", str(ints_csv),
+                     "--out", str(tmp_path / "both.ply"), "--imax", "3"]) == 0
+        assert (tmp_path / "both.ply").read_bytes() == (tmp_path / "session.ply").read_bytes()
+
 
 class TestSimulate:
     def test_deterministic_under_seed(self, tmp_path):
@@ -392,6 +420,8 @@ class TestSimulate:
         ("impact 0.4 2.0 0.02", "impact 0.4 2.0 inf"),
         ("waypoint 0.1 0 0 0.1", "waypoint 0.1 0 0 nan"),
         ("waypoint 0.1 0 0 0.1", "waypoint 0.1 0 0 inf"),
+        # so is a duration that holds no sample
+        ("duration_s 1.5", "duration_s 0.0001"),
     ])
     def test_non_finite_scenario_value_is_one_data_error(self, tmp_path, capsys, old, new):
         scn = tmp_path / "scn.txt"
@@ -968,6 +998,43 @@ class TestAlignmentToRecordedTimes:
         assert main(["render", str(src), "--out", str(tmp_path / "tied.ply")]) == 0
         for argv in (["stream-send", str(src)], ["replay", str(src), "--speed", "inf"]):
             assert len(_frames(_messages_sent(argv))) == 11
+
+
+def _wait_until_asleep(proc: subprocess.Popen, timeout_s: float = 10.0) -> None:
+    """Wait until proc sleeps in time.sleep, as paced replay does between events.
+
+    Reads the kernel's wait channel; where /proc gives none, waits timeout_s.
+    """
+    wchan = Path(f"/proc/{proc.pid}/wchan")
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and proc.poll() is None:
+        try:
+            if "nanosleep" in wchan.read_text():
+                return
+        except OSError:
+            pass
+        time.sleep(0.01)
+
+
+class TestInterrupt:
+    def test_interrupted_replay_exits_130_with_one_error_line(self, tmp_path):
+        src = tmp_path / "s.isms"
+        record(src, poses=_stepping_poses(range(0, 60_001, 10)), channels=1)
+        package = str(Path(ism.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-m", "ismkit.cli", "replay", str(src),
+                               "--speed", "1", "--pose-csv", str(tmp_path / "p.csv")],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            try:
+                _wait_until_asleep(proc)
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+            finally:
+                proc.kill()
+        assert proc.returncode == 130
+        assert len(err.splitlines()) == 1 and err.startswith("error[interrupted]: ")
 
 
 class TestSessionHeaderValues:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
-from ismkit.errors import FileFormatError
-from ismkit.scenario import Impact, SyntheticScenario, Waypoint, load_scenario, simulate
+from ismkit.errors import DataError, FileFormatError
+from ismkit.scenario import (IMPACT_TONE_HZ, N_CHANNELS, POSE_RATE_HZ, Impact, SyntheticScenario,
+                             Waypoint, _bandpass_sos, _legs, _path_speed, load_scenario,
+                             simulate)
+from ismkit.trajectory import PoseSample
 
 
 def _write(tmp_path, text):
@@ -44,6 +48,16 @@ class TestLoadScenario:
         path = _write(tmp_path, "duration_s 1\nwaypoint 0 0 0 0\nwaypoint 1 0 0 0\n")
         with pytest.raises(FileFormatError):
             load_scenario(path)
+
+    @pytest.mark.parametrize("duration, rate", [(0.0001, 5000.0), (0.5 / 44100, 44100.0)])
+    def test_duration_without_a_sample_rejected(self, duration, rate):
+        # half a sample rounds to none; simulate would have nothing to filter
+        with pytest.raises(DataError, match="no sample"):
+            SyntheticScenario(duration_s=duration, sample_rate_hz=rate,
+                              waypoints=(Waypoint(np.zeros(3), 0.0),))
+        one, _ = simulate(SyntheticScenario(duration_s=2.0 / rate, sample_rate_hz=rate,
+                                            waypoints=(Waypoint(np.zeros(3), 0.0),)))
+        assert len(one) == 2
 
 
 class TestSimulate:
@@ -112,3 +126,140 @@ class TestSimulate:
         assert len(poses) == 120
         dts = np.diff([p.t_us for p in poses])
         assert np.all(np.abs(dts - 1e6 / 120) <= 1)
+
+
+def _reference_path_profile(scenario, t):
+    """Position and speed along the path, as simulate built them per sample
+    before it took the speed alone: one (n, 3) position array and a mask per leg."""
+    legs = []
+    t_cursor = 0.0
+    wp = scenario.waypoints
+    for a, b in zip(wp, wp[1:]):
+        dist = float(np.linalg.norm(b.position - a.position))
+        if dist == 0:
+            continue
+        dt = dist / b.speed_mps
+        legs.append((t_cursor, t_cursor + dt, a.position, b.position, b.speed_mps))
+        t_cursor += dt
+    pos = np.tile(wp[-1].position, (t.size, 1))
+    speed = np.zeros(t.size)
+    if not legs:
+        return np.tile(wp[0].position, (t.size, 1)), speed
+    for t0, t1, p0, p1, v in legs:
+        mask = (t >= t0) & (t < t1)
+        if np.any(mask):
+            frac = ((t[mask] - t0) / (t1 - t0))[:, None]
+            pos[mask] = p0 + (p1 - p0) * frac
+            speed[mask] = v
+    return pos, speed
+
+
+def _reference_simulate(scenario, seed):
+    """simulate built per sample and per pose: a band-pass designed each call and a
+    PoseSample checked one by one. Returns (n, 4) vibration and the poses."""
+    rate = scenario.sample_rate_hz
+    n = int(round(scenario.duration_s * rate))
+    t = np.arange(n) / rate
+    _, speed = _reference_path_profile(scenario, t)
+    bursts = np.zeros(n)
+    for impact in scenario.impacts:
+        i0 = int(round(impact.t_s * rate))
+        if i0 >= n:
+            continue
+        tail = t[i0:] - impact.t_s
+        bursts[i0:] += impact.amplitude * np.exp(-tail / impact.decay_s) * np.sin(
+            2.0 * np.pi * IMPACT_TONE_HZ * tail)
+    sos = sp_signal.butter(4, scenario.noise_band_hz, btype="band", fs=rate, output="sos")
+    rng = np.random.default_rng(seed)
+    channels = []
+    for _ in range(N_CHANNELS):
+        noise = sp_signal.sosfilt(sos, rng.standard_normal(n))
+        rms = float(np.sqrt(np.mean(noise ** 2))) if n else 1.0
+        if rms > 0:
+            noise /= rms
+        channels.append(scenario.roughness * speed * noise + bursts)
+    n_poses = int(round(scenario.duration_s * POSE_RATE_HZ))
+    pose_t = np.arange(n_poses) / POSE_RATE_HZ
+    pose_pos, _ = _reference_path_profile(scenario, pose_t)
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    poses = [PoseSample(int(round(ts * 1e6)), pose_pos[i], identity)
+             for i, ts in enumerate(pose_t)]
+    return np.stack(channels, axis=1), poses
+
+
+def _path(*legs, start=(0.0, 0.0, 0.0)):
+    """Waypoints from a start and (x, y, z, speed) legs."""
+    return (Waypoint(np.array(start), 0.0),
+            *(Waypoint(np.array(leg[:3]), leg[3]) for leg in legs))
+
+
+# a hold, a zero-length leg, several legs, an impact in the last samples
+# and one past the end, at the default rate, 44.1 kHz and an odd rate
+BULK_CASES = {
+    "hold": SyntheticScenario(duration_s=0.7, waypoints=_path(start=(0.1, -0.2, 0.3)),
+                              impacts=(Impact(0.3, 1.0, 0.02),)),
+    "zero-length-leg": SyntheticScenario(
+        duration_s=1.3, roughness=1.7,
+        waypoints=_path((0.0, 0.0, 0.0, 0.2), (0.05, 0.02, 0.0, 0.1), (0.05, 0.02, 0.0, 0.3),
+                        (0.05, 0.08, 0.01, 0.07))),
+    "impact-near-end-44k": SyntheticScenario(
+        duration_s=1.0, sample_rate_hz=44100.0, noise_band_hz=(200.0, 4000.0),
+        waypoints=_path((0.03, 0.0, 0.0, 0.05), (0.03, 0.04, 0.0, 0.2)),
+        impacts=(Impact(0.1, 2.0, 0.01), Impact(1.0 - 1 / 44100, 3.0, 0.05),
+                 Impact(1.5, 1.0, 0.02))),
+    "44k-longer-than-the-path": SyntheticScenario(
+        duration_s=2.0, sample_rate_hz=44100.0,
+        waypoints=_path((0.1, 0.0, 0.0, 0.1), (0.1, 0.1, 0.0, 0.5))),
+    "odd-rate": SyntheticScenario(
+        duration_s=0.9, sample_rate_hz=3333.3, noise_band_hz=(300.0, 900.0),
+        waypoints=_path((0.0, 0.0, 0.2, 0.4)), impacts=(Impact(0.899, 1.0, 0.01),)),
+}
+
+
+class TestSimulateInBulk:
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_equals_the_per_sample_and_per_pose_construction(self, case):
+        scenario = BULK_CASES[case]
+        for seed in (0, 17):
+            vibration, poses = simulate(scenario, seed=seed)
+            want_vibration, want_poses = _reference_simulate(scenario, seed)
+            got = np.stack([ch.samples for ch in vibration.channels], axis=1)
+            assert got.tobytes() == want_vibration.tobytes()
+            assert len(poses) == len(want_poses)
+            for pose, want in zip(poses, want_poses):
+                assert type(pose.t_us) is int and pose.t_us == want.t_us
+                assert pose.position.dtype == np.float64
+                assert pose.position.tobytes() == want.position.tobytes()
+                assert pose.orientation.tobytes() == want.orientation.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_speed_alone_is_the_path_profile_speed(self, case):
+        scenario = BULK_CASES[case]
+        rate = scenario.sample_rate_hz
+        t = np.arange(int(round(scenario.duration_s * rate))) / rate
+        _, want = _reference_path_profile(scenario, t)
+        assert _path_speed(_legs(scenario), t).tobytes() == want.tobytes()
+
+    def test_a_leg_too_short_to_move_the_clock_holds_no_time(self):
+        # 1e-18 s after 1 s of travel adds nothing to the float clock
+        scenario = SyntheticScenario(duration_s=3.0, waypoints=_path(
+            (0.1, 0.0, 0.0, 0.1), (0.1, 1e-19, 0.0, 0.1), (0.3, 1e-19, 0.0, 0.2)))
+        t = np.concatenate([np.arange(3000) / 1000.0, [1.0, np.nextafter(1.0, 2.0), -1.0]])
+        _, want = _reference_path_profile(scenario, t)
+        assert _path_speed(_legs(scenario), t).tobytes() == want.tobytes()
+
+    def test_each_call_gets_its_own_writable_band_pass(self):
+        a = _bandpass_sos((500.0, 1500.0), 5000.0)
+        b = _bandpass_sos((500.0, 1500.0), 5000.0)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b)
+        want = sp_signal.butter(4, (500.0, 1500.0), btype="band", fs=5000.0, output="sos")
+        assert a.tobytes() == want.tobytes()
+        a[:] = 0.0
+        assert _bandpass_sos((500.0, 1500.0), 5000.0).tobytes() == want.tobytes()
+
+    def test_one_calls_poses_share_one_orientation_array(self):
+        _, poses = simulate(BULK_CASES["zero-length-leg"], seed=1)
+        _, other = simulate(BULK_CASES["zero-length-leg"], seed=1)
+        assert len({id(p.orientation) for p in poses}) == 1
+        assert poses[0].orientation is not other[0].orientation
