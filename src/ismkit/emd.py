@@ -28,12 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DataError
 from .signal import Waveform
-
-(_DGTSV,) = get_lapack_funcs(("gtsv",), (np.empty(0, dtype=np.float64),))
 
 
 # The sift recipe. Read at call time, so a test can patch them.
@@ -260,6 +257,8 @@ def _spline_mean_flat(t: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int
     sits on it reads that knot's value, a lower one stays on its last
     interval.
     """
+    from scipy.linalg.lapack import dgtsv  # imported by the first sift, not with the module
+
     end = counts.cumsum() - 1
     h = t[1:] - t[:-1]
     h[end[:-1]] = 1.0  # steps between knot sets: any positive value, never used
@@ -275,9 +274,9 @@ def _spline_mean_flat(t: np.ndarray, v: np.ndarray, counts: np.ndarray, n: int
     # sub/superdiagonal; zero between knot sets, so the blocks stay uncoupled
     dl = np.where(inner[2:], h[1:], 0.0)[rows][:-1]
     m = np.zeros(t.size)
-    m[inner] = _DGTSV(dl, d, dl.copy(), rhs,
-                      overwrite_dl=True, overwrite_d=True,
-                      overwrite_du=True, overwrite_b=True)[3]
+    m[inner] = dgtsv(dl, d, dl.copy(), rhs,
+                     overwrite_dl=True, overwrite_d=True,
+                     overwrite_du=True, overwrite_b=True)[3]
 
     # per-interval cubic coefficients; the intervals bridging knot sets get zeros
     a = (m[1:] - m[:-1]) / (6.0 * h)

@@ -5,6 +5,7 @@ matters at module boundaries: bad input data is not the same failure as a
 broken socket.
 """
 
+import csv
 from contextlib import contextmanager
 
 
@@ -35,3 +36,12 @@ def decoding(path, error: type[IsmkitError] = FileFormatError):
         yield
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+
+
+def csv_rows(path, fh):
+    """csv.reader's rows of fh; a row it refuses is a FileFormatError naming path:line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # as for a field past the csv module's size limit
+        raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None

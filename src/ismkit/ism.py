@@ -54,8 +54,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import psychophysics as psy
 from .emd import emd_decompose_rows, _component_arrays
-from .errors import DataError, FileFormatError, decoding
-from .signal import SEGMENT_MS, Waveform, lowpass_sos, segment_length
+from .errors import DataError, FileFormatError, csv_rows, decoding
+from .signal import LOWFREQ_CUTOFF_HZ, SEGMENT_MS, Waveform, butter_sos, segment_length
 
 BUFFER_MS = 100.0
 CARRIER_HZ = 200.0
@@ -239,15 +239,13 @@ class StreamingAnalyzer:
     """
 
     def __init__(self, sample_rate_hz: float, model: psy.PsychoModel | None = None):
-        from scipy.signal import sosfilt_zi
-
         self._model = model or psy.DEFAULT_MODEL
         self._rate = float(sample_rate_hz)
         self._seg_len = segment_length(SEGMENT_MS, self._rate)
         self.buffer_length = int(round(BUFFER_MS / SEGMENT_MS)) * self._seg_len
         self.segment_duration_ms = 1000.0 * self._seg_len / self._rate
-        self._sos = lowpass_sos(self._rate)
-        self._zi = sosfilt_zi(self._sos) * 0.0  # zero initial conditions
+        self._sos = butter_sos(LOWFREQ_CUTOFF_HZ, "low", self._rate)
+        self._zi = np.zeros((self._sos.shape[0], 2))  # zero initial conditions
         self._tail = np.empty(0, dtype=np.float64)
         self._context = 0  # 1 once any buffer has been consumed
         self._finished = False
@@ -381,7 +379,7 @@ def load_intensity_csv(path) -> tuple[list[float], list[float]]:
     times: list[float] = []
     values: list[float] = []
     with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["t_s", "intensity"]:
             raise FileFormatError(f"{path}: expected header 't_s,intensity'")

@@ -14,32 +14,27 @@ Vibration per channel is speed-proportional band-limited noise plus decaying
 800 Hz impact bursts; poses are sampled at 120 Hz along the path. Everything
 is driven by one seed, so a scenario regenerates bit-identically.
 
-`simulate` works once per call, not per sample or pose: the vibration takes
-the path's speed alone, from one search over the legs' end times, without
-positions; the band-pass is designed once per (band, rate), each call
-filtering with its own copy; and the poses pass one validate_poses check
-and share one identity orientation array.
+`simulate` works once per call, not per sample or pose. One search over
+the legs' end times finds each time's leg, for the vibration's speed and
+the poses' positions alike; the band-pass is signal.py's Butterworth,
+designed once per (band, rate); and the poses pass one check in
+poses_from_arrays and share one identity orientation array.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import DataError, FileFormatError, decoding
-from .signal import MultiChannelWaveform, Waveform
-from .trajectory import (PoseSample, _set_orientation, _set_position, _set_t_us,
-                         validate_poses)
+from .signal import MultiChannelWaveform, Waveform, butter_filter
+from .trajectory import PoseSample, poses_from_arrays
 
 POSE_RATE_HZ = 120.0
 IMPACT_TONE_HZ = 800.0
 N_CHANNELS = 4
-# band-pass designs kept: one per (band, rate) in use
-BANDPASS_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,7 @@ class SyntheticScenario:
         if not 0 < lo < hi < self.sample_rate_hz / 2:
             raise DataError(f"noise band {self.noise_band_hz} invalid for rate "
                             f"{self.sample_rate_hz}")
+        object.__setattr__(self, "noise_band_hz", (float(lo), float(hi)))
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if b.speed_mps == 0 and np.linalg.norm(b.position - a.position) > 0:
                 raise DataError("zero speed on a segment with nonzero length")
@@ -151,62 +147,45 @@ def load_scenario(path) -> SyntheticScenario:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _legs(scenario: SyntheticScenario) -> list[tuple[float, float, np.ndarray, np.ndarray, float]]:
-    """The path's legs of nonzero length, each (t_start, t_end, p0, p1, speed).
+def _legs(scenario: SyntheticScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The path's legs of nonzero length: their bounds (0, then each leg's end
+    time), start and end positions (legs, 3), and speeds, then a 0 for the hold.
 
     The tool moves through the waypoints at each leg's speed and then holds
     at the final waypoint with zero speed; each leg starts where the last ends.
     """
-    legs = []
-    t_cursor = 0.0
+    bounds, starts, ends, speeds = [0.0], [], [], []
     wp = scenario.waypoints
     for a, b in zip(wp, wp[1:]):
         dist = float(np.linalg.norm(b.position - a.position))
-        if dist == 0:
-            continue
-        dt = dist / b.speed_mps
-        legs.append((t_cursor, t_cursor + dt, a.position, b.position, b.speed_mps))
-        t_cursor += dt
-    return legs
+        if dist:
+            bounds.append(bounds[-1] + dist / b.speed_mps)
+            starts.append(a.position)
+            ends.append(b.position)
+            speeds.append(b.speed_mps)
+    return (np.array(bounds), np.reshape(starts, (-1, 3)), np.reshape(ends, (-1, 3)),
+            np.array(speeds + [0.0]))
+
+
+def _leg_index(bounds: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each time's leg: leg k holds bounds[k] to before bounds[k + 1]; -1
+    before the first leg and the leg count from the last one's end."""
+    # the legs tile [0, end) in order (a leg that ends where it starts holds no time)
+    return np.searchsorted(bounds, t, side="right") - 1
 
 
 def _path_positions(scenario: SyntheticScenario, legs, t: np.ndarray) -> np.ndarray:
-    """Position (n, 3) along the waypoint path at times t."""
+    """Position (n, 3) along the waypoint path at times t; outside the legs,
+    the final waypoint's own values (the first's, if no leg moves)."""
+    bounds, starts, ends, _ = legs
     wp = scenario.waypoints
-    if not legs:
-        return np.tile(wp[0].position, (t.size, 1))
-    pos = np.tile(wp[-1].position, (t.size, 1))
-    for t0, t1, p0, p1, _ in legs:
-        mask = (t >= t0) & (t < t1)
-        if np.any(mask):
-            frac = ((t[mask] - t0) / (t1 - t0))[:, None]
-            pos[mask] = p0 + (p1 - p0) * frac
+    pos = np.tile((wp[-1] if starts.size else wp[0]).position, (t.size, 1))
+    leg = _leg_index(bounds, t)
+    moving = (leg >= 0) & (leg < len(starts))
+    leg = leg[moving]
+    frac = ((t[moving] - bounds[leg]) / (bounds[leg + 1] - bounds[leg]))[:, None]
+    pos[moving] = starts[leg] + (ends[leg] - starts[leg]) * frac
     return pos
-
-
-def _path_speed(legs, t: np.ndarray) -> np.ndarray:
-    """Speed (n,) along the path at times t: a leg's speed from its start to
-    before its end, and zero before the first leg and after the last."""
-    # the legs tile [0, end) in order, so one search finds each time's leg
-    # (a leg that ends where it starts holds no time)
-    edges = np.array([0.0] + [t1 for _, t1, _, _, _ in legs])
-    speeds = np.array([v for _, _, _, _, v in legs] + [0.0])
-    return speeds[np.searchsorted(edges, t, side="right") - 1]
-
-
-@functools.lru_cache(maxsize=BANDPASS_CACHE_SIZE)
-def _bandpass_design(lo_hz: float, hi_hz: float, rate: float) -> np.ndarray:
-    sos = sp_signal.butter(4, (lo_hz, hi_hz), btype="band", fs=rate, output="sos")
-    sos.flags.writeable = False
-    return sos
-
-
-def _bandpass_sos(band: tuple[float, float], rate: float) -> np.ndarray:
-    """The 4th-order Butterworth band-pass as a biquad cascade, designed once
-    per (band, rate); each caller gets its own writable copy, as sosfilt
-    refuses a read-only array."""
-    lo, hi = band
-    return _bandpass_design(float(lo), float(hi), float(rate)).copy()
 
 
 def simulate(scenario: SyntheticScenario, seed: int = 0
@@ -220,24 +199,21 @@ def simulate(scenario: SyntheticScenario, seed: int = 0
     rate = scenario.sample_rate_hz
     n = int(round(scenario.duration_s * rate))
     t = np.arange(n) / rate
-    legs = _legs(scenario)
-    speed = _path_speed(legs, t)
+    legs = bounds, _, _, speeds = _legs(scenario)
+    speed = speeds[_leg_index(bounds, t)]  # before and after the legs: speeds[-1], 0
 
     bursts = np.zeros(n)
     for impact in scenario.impacts:
-        i0 = int(round(impact.t_s * rate))
-        if i0 >= n:
-            continue
+        i0 = int(round(impact.t_s * rate))  # past the end, the slices are empty
         tail = t[i0:] - impact.t_s
         bursts[i0:] += impact.amplitude * np.exp(-tail / impact.decay_s) * np.sin(
             2.0 * np.pi * IMPACT_TONE_HZ * tail)
 
-    sos = _bandpass_sos(scenario.noise_band_hz, rate)
     gain = scenario.roughness * speed
     rng = np.random.default_rng(seed)
     channels = []
     for _ in range(N_CHANNELS):
-        noise = sp_signal.sosfilt(sos, rng.standard_normal(n))
+        noise = butter_filter(rng.standard_normal(n), scenario.noise_band_hz, "band", rate)
         rms = float(np.sqrt(np.mean(noise ** 2)))
         if rms > 0:
             noise /= rms
@@ -246,16 +222,7 @@ def simulate(scenario: SyntheticScenario, seed: int = 0
 
     n_poses = int(round(scenario.duration_s * POSE_RATE_HZ))
     pose_t = np.arange(n_poses) / POSE_RATE_HZ
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
-    positions, _ = validate_poses(_path_positions(scenario, legs, pose_t),
-                                  np.broadcast_to(identity, (n_poses, 4)))
     # rint rounds half to even, as round() does
     t_us = np.rint(pose_t * 1e6).astype(np.int64).tolist()
-    poses = []
-    for t_pose, position in zip(t_us, positions):
-        pose = object.__new__(PoseSample)
-        _set_t_us(pose, t_pose)
-        _set_position(pose, position)
-        _set_orientation(pose, identity)
-        poses.append(pose)
-    return vibration, poses
+    return vibration, poses_from_arrays(t_us, _path_positions(scenario, legs, pose_t),
+                                        np.array([1.0, 0.0, 0.0, 0.0]))

@@ -1,12 +1,16 @@
-"""Waveform containers, 5 ms segmentation and the low-frequency extraction filter."""
+"""Waveform containers, 5 ms segmentation and the one Butterworth design.
+
+butter_sos designs both the LOWFREQ_CUTOFF_HZ low-pass and a scenario's
+band-pass; scipy.signal is imported by the first design, not with the module.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import DataError
 
@@ -85,14 +89,30 @@ def segment_length(segment_ms: float, sample_rate_hz: float) -> int:
     return int(round(samples))
 
 
-def lowpass_sos(sample_rate_hz: float) -> np.ndarray:
-    """Design the causal 4th-order Butterworth LOWFREQ_CUTOFF_HZ low-pass as a biquad cascade."""
-    nyquist = sample_rate_hz / 2.0
-    if not LOWFREQ_CUTOFF_HZ < nyquist:
-        raise DataError(
-            f"low-pass cutoff {LOWFREQ_CUTOFF_HZ} Hz must lie below Nyquist ({nyquist} Hz)")
-    return sp_signal.butter(4, LOWFREQ_CUTOFF_HZ, btype="low", fs=sample_rate_hz,
-                            output="sos")
+@functools.lru_cache(maxsize=16)  # one design per (cutoff, type, rate) in use
+def _butter_design(cutoff_hz, btype: str, sample_rate_hz: float) -> np.ndarray:
+    if not np.max(cutoff_hz) < sample_rate_hz / 2.0:
+        raise DataError(f"{btype}-pass cutoff {cutoff_hz} Hz must lie below Nyquist "
+                        f"({sample_rate_hz / 2.0} Hz)")
+    from scipy.signal import butter
+
+    sos = butter(4, cutoff_hz, btype=btype, fs=sample_rate_hz, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
+def butter_sos(cutoff_hz, btype: str, sample_rate_hz: float) -> np.ndarray:
+    """The causal 4th-order Butterworth "low" or (low, high) "band"-pass as a
+    biquad cascade. Designed once per (cutoff, type, rate); each call gets
+    its own writable copy, as sosfilt refuses a read-only array."""
+    return _butter_design(cutoff_hz, btype, sample_rate_hz).copy()
+
+
+def butter_filter(samples: np.ndarray, cutoff_hz, btype: str, sample_rate_hz: float) -> np.ndarray:
+    """samples run through butter_sos(cutoff_hz, btype, sample_rate_hz)."""
+    from scipy.signal import sosfilt
+
+    return sosfilt(butter_sos(cutoff_hz, btype, sample_rate_hz), samples)
 
 
 def lowfreq_extract(waveform: Waveform) -> Waveform:
@@ -101,6 +121,5 @@ def lowfreq_extract(waveform: Waveform) -> Waveform:
     Causal filtering only (the live loop cannot look ahead), so the output
     carries the filter's group delay. Same length and rate as the input.
     """
-    sos = lowpass_sos(waveform.sample_rate_hz)
-    filtered = sp_signal.sosfilt(sos, waveform.samples)
-    return Waveform(filtered, waveform.sample_rate_hz)
+    rate = waveform.sample_rate_hz
+    return Waveform(butter_filter(waveform.samples, LOWFREQ_CUTOFF_HZ, "low", rate), rate)

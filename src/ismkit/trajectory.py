@@ -10,6 +10,7 @@ offset o and the pivot c.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from array import array
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .colormap import NormalizationConfig, map_color, normalize
-from .errors import DataError, FileFormatError, decoding
+from .errors import DataError, FileFormatError, csv_rows, decoding
 from .ism import IntensityProfile
 
 QUAT_NORM_TOL = 1e-6
@@ -122,10 +123,14 @@ def validate_poses(positions, orientations, ndim: int = 2) -> tuple[np.ndarray, 
 
 def poses_from_arrays(t_us: list[int], positions: np.ndarray,
                       orientations: np.ndarray) -> list[PoseSample]:
-    """PoseSamples over the rows of pose arrays, checked once by validate_poses."""
-    pos, quat = validate_poses(positions, orientations)
+    """PoseSamples over the rows of pose arrays, checked once by validate_poses;
+    one (4,) orientation is shared by every pose, as the same array."""
+    quat = np.asarray(orientations, dtype=np.float64)
+    shared = quat.ndim == 1
+    pos, rows = validate_poses(positions, np.broadcast_to(
+        quat, np.shape(positions)[:-1] + quat.shape) if shared else quat)
     poses = []
-    for t, p, q in zip(t_us, pos, quat):
+    for t, p, q in zip(t_us, pos, itertools.repeat(quat) if shared else rows):
         pose = object.__new__(PoseSample)
         _set_t_us(pose, t)
         _set_position(pose, p)
@@ -363,7 +368,7 @@ def load_pose_csv(path) -> list[PoseSample]:
     """Read `t_us,px,py,pz,qw,qx,qy,qz` rows into pose samples."""
     poses: list[PoseSample] = []
     with open(path, "r", newline="", encoding="utf-8") as fh, decoding(path):
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         header = next(reader, None)
         expected = ["t_us", "px", "py", "pz", "qw", "qx", "qy", "qz"]
         if header is None or [h.strip() for h in header[:8]] != expected:

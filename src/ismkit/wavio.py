@@ -8,6 +8,7 @@ float32 round-trips bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -41,22 +42,21 @@ def load_wav(path) -> Waveform | MultiChannelWaveform:
         if riff[0:4] != b"RIFF" or riff[8:12] != b"WAVE":
             raise FileFormatError(f"{path}: not a RIFF/WAVE file")
 
-        fmt = None
-        data = None
-        while True:
-            chunk_hdr = fh.read(8)
-            if len(chunk_hdr) == 0:
-                break
+        file_size = os.fstat(fh.fileno()).st_size
+        chunks = {}
+        while chunk_hdr := fh.read(8):
             if len(chunk_hdr) != 8:
                 raise FileFormatError(f"{path}: truncated chunk header")
             tag, size = struct.unpack("<4sI", chunk_hdr)
-            payload = _read_exact(fh, size, f"chunk {tag!r}")
-            if size % 2:  # chunks are word-aligned
-                fh.read(1)
-            if tag == b"fmt ":
-                fmt = payload
-            elif tag == b"data":
-                data = payload
+            # checked before reading, so a bad size reserves nothing
+            if size > file_size - fh.tell():
+                raise FileFormatError(f"{path}: chunk {tag!r} of {size} bytes overruns the file")
+            if tag in (b"fmt ", b"data"):
+                chunks[tag] = _read_exact(fh, size, f"chunk {tag!r}")
+            else:
+                fh.seek(size, os.SEEK_CUR)
+            fh.seek(size % 2, os.SEEK_CUR)  # chunks are word-aligned
+        fmt, data = chunks.get(b"fmt "), chunks.get(b"data")
         if fmt is None or data is None:
             raise FileFormatError(f"{path}: missing fmt or data chunk")
 

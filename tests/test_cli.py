@@ -1174,6 +1174,23 @@ class TestUndecodableInput:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+class TestOversizedCsvField:
+    # a field past the csv module's 131,072-character limit, on line 3
+    @pytest.mark.parametrize("case", ["calibrate", "render-poses", "render-profile"])
+    def test_is_one_data_error_naming_its_line(self, tmp_path, capsys, case):
+        argv, bad = _undecodable_case(tmp_path, case)
+        if case == "render-profile":
+            bad.write_text("t_s,intensity\n0.0025,0.5\n0.0075," + "5" * 140_000 + "\n")
+        else:
+            bad.write_text("t_us,px,py,pz,qw,qx,qy,qz\n0,0,0,0,1,0,0,0\n"
+                           "1" + "0" * 140_000 + ",0,0,0,1,0,0,0\n")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error[data]: {bad}:3: field larger than field limit")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestReplayOfBadSession:
     @pytest.mark.parametrize("pose_follows", [False, True])
     def test_replay_endpoint_sends_nothing(self, tmp_path, capsys, pose_follows):

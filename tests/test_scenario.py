@@ -4,8 +4,9 @@ from scipy import signal as sp_signal
 
 from ismkit.errors import DataError, FileFormatError
 from ismkit.scenario import (IMPACT_TONE_HZ, N_CHANNELS, POSE_RATE_HZ, Impact, SyntheticScenario,
-                             Waypoint, _bandpass_sos, _legs, _path_speed, load_scenario,
+                             Waypoint, _leg_index, _legs, _path_positions, load_scenario,
                              simulate)
+from ismkit.signal import butter_sos
 from ismkit.trajectory import PoseSample
 
 
@@ -193,8 +194,16 @@ def _path(*legs, start=(0.0, 0.0, 0.0)):
             *(Waypoint(np.array(leg[:3]), leg[3]) for leg in legs))
 
 
+def _leg_lookup(scenario, t):
+    """Position and speed at times t through simulate's one leg lookup."""
+    legs = bounds, _, _, speeds = _legs(scenario)
+    return _path_positions(scenario, legs, t), speeds[_leg_index(bounds, t)]
+
+
 # a hold, a zero-length leg, several legs, an impact in the last samples
-# and one past the end, at the default rate, 44.1 kHz and an odd rate
+# and one past the end, at the default rate, 44.1 kHz and an odd rate, and
+# a hold at a final waypoint with -0.0 coordinates after a zero-length leg
+# from +0.0
 BULK_CASES = {
     "hold": SyntheticScenario(duration_s=0.7, waypoints=_path(start=(0.1, -0.2, 0.3)),
                               impacts=(Impact(0.3, 1.0, 0.02),)),
@@ -213,6 +222,9 @@ BULK_CASES = {
     "odd-rate": SyntheticScenario(
         duration_s=0.9, sample_rate_hz=3333.3, noise_band_hz=(300.0, 900.0),
         waypoints=_path((0.0, 0.0, 0.2, 0.4)), impacts=(Impact(0.899, 1.0, 0.01),)),
+    "negative-zero-hold": SyntheticScenario(
+        duration_s=1.2, waypoints=_path((0.05, 0.0, 0.0, 0.1), (-0.0, 0.0, 0.0, 0.2),
+                                        (-0.0, -0.0, -0.0, 0.3), start=(0.0, 0.01, -0.0))),
 }
 
 
@@ -238,25 +250,47 @@ class TestSimulateInBulk:
         rate = scenario.sample_rate_hz
         t = np.arange(int(round(scenario.duration_s * rate))) / rate
         _, want = _reference_path_profile(scenario, t)
-        assert _path_speed(_legs(scenario), t).tobytes() == want.tobytes()
+        assert _leg_lookup(scenario, t)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_positions_are_the_path_profile_positions(self, case):
+        scenario = BULK_CASES[case]
+        bounds = _legs(scenario)[0]
+        # the pose times, each leg's bounds and their neighbours, and times
+        # before the path starts
+        t = np.concatenate([np.arange(int(round(scenario.duration_s * POSE_RATE_HZ)))
+                            / POSE_RATE_HZ, bounds, np.nextafter(bounds, -np.inf),
+                            np.nextafter(bounds, np.inf), [-1.0, -0.0]])
+        got_pos, got_speed = _leg_lookup(scenario, t)
+        want_pos, want_speed = _reference_path_profile(scenario, t)
+        assert got_pos.tobytes() == want_pos.tobytes()
+        assert got_speed.tobytes() == want_speed.tobytes()
 
     def test_a_leg_too_short_to_move_the_clock_holds_no_time(self):
         # 1e-18 s after 1 s of travel adds nothing to the float clock
         scenario = SyntheticScenario(duration_s=3.0, waypoints=_path(
             (0.1, 0.0, 0.0, 0.1), (0.1, 1e-19, 0.0, 0.1), (0.3, 1e-19, 0.0, 0.2)))
         t = np.concatenate([np.arange(3000) / 1000.0, [1.0, np.nextafter(1.0, 2.0), -1.0]])
-        _, want = _reference_path_profile(scenario, t)
-        assert _path_speed(_legs(scenario), t).tobytes() == want.tobytes()
+        want_pos, want_speed = _reference_path_profile(scenario, t)
+        got_pos, got_speed = _leg_lookup(scenario, t)
+        assert got_speed.tobytes() == want_speed.tobytes()
+        assert got_pos.tobytes() == want_pos.tobytes()
+
+    def test_a_hold_keeps_the_final_waypoints_own_values(self):
+        # -0.0 + 0.0 * 0.0 would give +0.0: the hold copies the waypoint instead
+        _, poses = simulate(BULK_CASES["negative-zero-hold"], seed=2)
+        assert poses[-1].t_us > 1_000_000
+        assert np.signbit(poses[-1].position).all()
 
     def test_each_call_gets_its_own_writable_band_pass(self):
-        a = _bandpass_sos((500.0, 1500.0), 5000.0)
-        b = _bandpass_sos((500.0, 1500.0), 5000.0)
+        a = butter_sos((500.0, 1500.0), "band", 5000.0)
+        b = butter_sos((500.0, 1500.0), "band", 5000.0)
         assert a.flags.writeable and b.flags.writeable
         assert not np.shares_memory(a, b)
         want = sp_signal.butter(4, (500.0, 1500.0), btype="band", fs=5000.0, output="sos")
         assert a.tobytes() == want.tobytes()
         a[:] = 0.0
-        assert _bandpass_sos((500.0, 1500.0), 5000.0).tobytes() == want.tobytes()
+        assert butter_sos((500.0, 1500.0), "band", 5000.0).tobytes() == want.tobytes()
 
     def test_one_calls_poses_share_one_orientation_array(self):
         _, poses = simulate(BULK_CASES["zero-length-leg"], seed=1)

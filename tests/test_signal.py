@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import signal as sp_signal
 
 from ismkit.errors import DataError
-from ismkit.ism import analyze
-from ismkit.signal import (MultiChannelWaveform, Waveform, lowfreq_extract,
-                           lowpass_sos, segment_length)
+from ismkit import signal as ism_signal
+from ismkit.ism import StreamingAnalyzer, analyze
+from ismkit.signal import (LOWFREQ_CUTOFF_HZ, MultiChannelWaveform, Waveform, butter_filter,
+                           butter_sos, lowfreq_extract, segment_length)
 
 
 class TestWaveform:
@@ -79,6 +80,48 @@ class TestSegment:
         assert _segment_count(n, rate) == n // seg_len - dropped
 
 
+# (cutoff, type, rate): the low-pass at 1, 5 and 44.1 kHz and scenario band-passes
+DESIGNS = [(LOWFREQ_CUTOFF_HZ, "low", 1000.0), (LOWFREQ_CUTOFF_HZ, "low", 5000.0),
+           (LOWFREQ_CUTOFF_HZ, "low", 44100.0), ((500.0, 1500.0), "band", 5000.0),
+           ((200.0, 4000.0), "band", 44100.0), ((300.0, 900.0), "band", 3333.3)]
+
+
+class TestButterDesign:
+    @pytest.mark.parametrize("cutoff, btype, rate", DESIGNS)
+    def test_each_call_gets_a_fresh_designs_bits_in_its_own_writable_copy(
+            self, cutoff, btype, rate):
+        want = sp_signal.butter(4, cutoff, btype=btype, fs=rate, output="sos")
+        a, b = butter_sos(cutoff, btype, rate), butter_sos(cutoff, btype, rate)
+        assert a.shape == want.shape and a.tobytes() == want.tobytes()
+        assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
+        a[:] = 0.0
+        assert butter_sos(cutoff, btype, rate).tobytes() == want.tobytes()
+        x = np.random.default_rng(4).standard_normal(2000)
+        assert (butter_filter(x, cutoff, btype, rate).tobytes()
+                == sp_signal.sosfilt(want, x).tobytes())
+
+    def test_a_repeated_design_is_a_cache_hit(self):
+        design = ism_signal._butter_design
+        butter_sos((700.0, 900.0), "band", 4321.0)
+        before = design.cache_info()
+        butter_sos((700.0, 900.0), "band", 4321.0)
+        after = design.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("rate", [1000.0, 5000.0, 44100.0])
+    def test_the_streaming_low_pass_starts_at_rest(self, rate):
+        # a zero state gives the bits of sosfilt without one, and of sosfilt_zi * 0
+        x = np.random.default_rng(5).standard_normal(int(rate) // 2)
+        sos = sp_signal.butter(4, LOWFREQ_CUTOFF_HZ, fs=rate, output="sos")
+        want = sp_signal.sosfilt(sos, x)
+        assert sp_signal.sosfilt(sos, x, zi=sp_signal.sosfilt_zi(sos) * 0.0)[0].tobytes() \
+            == want.tobytes()
+        analyzer = StreamingAnalyzer(rate)
+        step = x.size // 3 + 1
+        low = [analyzer.feed(x[i:i + step])[1].samples for i in range(0, x.size, step)]
+        assert np.concatenate(low).tobytes() == want.tobytes()
+
+
 class TestLowfreqExtract:
     def test_dc_passes(self):
         w = Waveform(np.full(10000, 0.3), 5000.0)
@@ -97,14 +140,14 @@ class TestLowfreqExtract:
         ratio = self._steady_rms_ratio(200.0)
         assert 20 * np.log10(ratio) <= -20.0
         # oracle: the designed filter's frequency response at 200 Hz
-        sos = lowpass_sos(5000.0)
+        sos = butter_sos(LOWFREQ_CUTOFF_HZ, "low", 5000.0)
         _, h = sp_signal.sosfreqz(sos, worN=[200.0], fs=5000.0)
         assert ratio == pytest.approx(abs(h[0]), rel=1e-3)
 
     def test_10hz_within_1db(self):
         ratio = self._steady_rms_ratio(10.0)
         assert abs(20 * np.log10(ratio)) <= 1.0
-        sos = lowpass_sos(5000.0)
+        sos = butter_sos(LOWFREQ_CUTOFF_HZ, "low", 5000.0)
         _, h = sp_signal.sosfreqz(sos, worN=[10.0], fs=5000.0)
         assert ratio == pytest.approx(abs(h[0]), rel=1e-3)
 

@@ -16,8 +16,8 @@ from ismkit.ism import IntensityProfile
 from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
                                aligned_intensity, build_trajectory, export_ply,
                                load_calibration, load_ply, load_pose_csv,
-                               pivot_calibrate, quat_to_matrix, save_calibration,
-                               save_pose_csv, tip_position, validate_poses)
+                               pivot_calibrate, poses_from_arrays, quat_to_matrix,
+                               save_calibration, save_pose_csv, tip_position, validate_poses)
 
 from .reference_trajectory import reference_trajectory
 
@@ -216,6 +216,47 @@ class TestOnePoseCheck:
         assert moved.t_us == 9 and moved.position is pose.position
         with pytest.raises(DataError, match="quaternion norm 2.0"):
             replace(pose, orientation=(2.0, 0.0, 0.0, 0.0))
+
+
+class TestPosesFromArrays:
+    def _arrays(self, n):
+        rng = np.random.default_rng(n)
+        quats = rng.standard_normal((n, 4))
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        return list(range(0, 1000 * n, 1000)), rng.standard_normal((n, 3)), quats
+
+    def test_rows_equal_one_pose_sample_each(self):
+        t_us, positions, quats = self._arrays(7)
+        poses = poses_from_arrays(t_us, positions, quats)
+        for pose, t, p, q in zip(poses, t_us, positions, quats):
+            want = PoseSample(t, p, q)
+            assert type(pose.t_us) is int and pose.t_us == want.t_us
+            assert pose.position.tobytes() == want.position.tobytes()
+            assert pose.orientation.tobytes() == want.orientation.tobytes()
+
+    def test_one_orientation_is_shared_as_one_array(self):
+        t_us, positions, _ = self._arrays(9)
+        quat = np.array([0.5, -0.5, 0.5, -0.5])
+        poses = poses_from_arrays(t_us, positions, quat)
+        assert len(poses) == 9 and all(pose.orientation is quat for pose in poses)
+        per_row = poses_from_arrays(t_us, positions, np.tile(quat, (9, 1)))
+        for pose, want in zip(poses, per_row):
+            assert pose.t_us == want.t_us
+            assert pose.position.tobytes() == want.position.tobytes()
+            assert pose.orientation.tobytes() == want.orientation.tobytes()
+
+    @pytest.mark.parametrize("orientations", [np.array([1.0, 0.0, 0.0, 0.0]), np.zeros((0, 4))])
+    def test_no_poses_give_an_empty_list(self, orientations):
+        assert poses_from_arrays([], np.zeros((0, 3)), orientations) == []
+
+    @pytest.mark.parametrize("orientation, match", [
+        ((2.0, 0.0, 0.0, 0.0), "quaternion norm 2.0"),
+        ((1.0, 0.0, 0.0), "4-vector quaternion"),
+        ((np.nan, 0.0, 0.0, 0.0), "non-finite")])
+    def test_a_shared_orientation_is_checked(self, orientation, match):
+        t_us, positions, _ = self._arrays(3)
+        with pytest.raises(DataError, match=match):
+            poses_from_arrays(t_us, positions, orientation)
 
 
 class TestTipPosition:

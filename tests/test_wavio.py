@@ -1,11 +1,19 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ismkit
 from ismkit.errors import DataError, FileFormatError
 from ismkit.signal import MultiChannelWaveform, Waveform
 from ismkit.wavio import load_wav, save_wav
+
+# the directory this ismkit is imported from, for subprocesses
+PACKAGE_ROOT = str(Path(ismkit.__file__).resolve().parents[1])
 
 
 def test_float32_roundtrip_mono(tmp_path):
@@ -137,3 +145,54 @@ def test_partial_frame_rejected(tmp_path, case):
     _raw_wav(path, n_channels, bytes(range(n_bytes)), format_tag, bits)
     with pytest.raises(FileFormatError, match=str(path)):
         load_wav(path)
+
+
+def _wav_with_chunk(path, tag, declared, payload=b""):
+    """A mono float32 WAV whose last chunk, `tag`, declares `declared` bytes and holds `payload`."""
+    fmt = struct.pack("<HHIIHH", 3, 1, 5000, 20000, 4, 32)
+    samples = b"data" + struct.pack("<I", 8) + np.zeros(2, dtype="<f4").tobytes()
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+        + (samples if tag != b"data" else b"") \
+        + tag + struct.pack("<I", declared) + payload
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def test_oversized_chunk_exits_2_without_reserving_its_length(tmp_path):
+    # 60 bytes whose data chunk declares 0xFFFFFFF0: read under a 3 GiB
+    # address space, where reserving the declared length fails
+    path = tmp_path / "huge.wav"
+    _wav_with_chunk(path, b"data", 0xFFFFFFF0, np.zeros(4, dtype="<f4").tobytes())
+    assert path.stat().st_size == 60
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+              "from ismkit.cli import main\n"
+              "sys.exit(main(['analyze', sys.argv[1], '--out', sys.argv[2]]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "p.csv")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error[data]: {path}: chunk ")
+    assert "overruns the file" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tag", [b"data", b"LIST"])
+def test_chunk_longer_than_the_rest_of_the_file_rejected(tmp_path, tag):
+    path = tmp_path / "short.wav"
+    _wav_with_chunk(path, tag, 9, bytes(8))
+    with pytest.raises(FileFormatError, match="overruns the file"):
+        load_wav(path)
+
+
+def test_unknown_chunks_skipped(tmp_path):
+    # an odd-length chunk before fmt and one after data, each word-aligned
+    path = tmp_path / "extra.wav"
+    fmt = struct.pack("<HHIIHH", 3, 1, 5000, 20000, 4, 32)
+    samples = np.arange(3, dtype="<f4")
+    body = b"WAVE" + b"LIST" + struct.pack("<I", 3) + b"abc\x00" \
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+        + b"data" + struct.pack("<I", samples.nbytes) + samples.tobytes() \
+        + b"junk" + struct.pack("<I", 5) + b"12345\x00"
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert load_wav(path).samples.tolist() == [0.0, 1.0, 2.0]
