@@ -203,9 +203,9 @@ def cmd_calibrate(args) -> int:
 
 
 def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None,
-            cfg: CliConfig, sink=None) -> float:
-    """Replay a session's replay_events to sink and, given an endpoint, over the
-    wire after a Hello; returns the event loop's wall time.
+            cfg: CliConfig) -> float:
+    """Pace a session's replay_events by clock and, given an endpoint, send them
+    over the wire after a Hello; returns the event loop's wall time.
 
     A pose's Frame carries the intensity render gives it (0.0 with no
     intensity stream), found with every intensity checked before the sender
@@ -227,12 +227,9 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
         if sender is not None:
             sender.send(hello)
         start_wall = time.monotonic()
-        for event in sess.replay_events(session, clock):
-            if sink is not None:
-                sink(event)
+        for t_us, pose, value in sess.replay_events(session, clock):
             if sender is None:
                 continue
-            t_us, pose, value = event
             if pose is None:
                 sender.send(wire.IntensityOnly(t_us, value))
             else:
@@ -298,17 +295,15 @@ def cmd_replay(args) -> int:
     cfg = build_cli_config(args)
     session = sess.Session.open(args.session)
     endpoint = cfg.endpoint if args.endpoint or args.to_wire else None
-    events: list[tuple] = []
-    wall_s = _replay(session, sess.ReplayClock(speed=args.speed), endpoint, cfg,
-                     events.append)
-    poses = [pose for _, pose, _ in events if pose is not None]
-    times_s = [t_us / 1e6 for t_us, pose, _ in events if pose is None]
-    values = [value for _, pose, value in events if pose is None]
+    wall_s = _replay(session, sess.ReplayClock(speed=args.speed), endpoint, cfg)
+    # each stream in the order replay_events yields it, a stable sort by time
     if args.pose_csv:
-        save_pose_csv(poses, args.pose_csv)
+        save_pose_csv(sorted(session.poses, key=lambda pose: pose.t_us), args.pose_csv)
     if args.intensity_csv:
-        ism.save_intensity_csv(times_s, values, args.intensity_csv)
-    print(f"replayed poses={len(poses)} intensities={len(values)} wall_s={wall_s:.3f}")
+        ints = session.intensities[np.argsort(session.intensities[:, 0], kind="stable")]
+        ism.save_intensity_csv(ints[:, 0] / 1e6, ints[:, 1], args.intensity_csv)
+    print(f"replayed poses={len(session.poses)} intensities={len(session.intensities)} "
+          f"wall_s={wall_s:.3f}")
     return EXIT_OK
 
 

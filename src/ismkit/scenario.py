@@ -3,11 +3,16 @@
 A scenario is a plain-text file describing a tool path and its texture:
 
     duration_s 2.0
-    sample_rate_hz 5000          # optional
-    roughness 1.0                # vibration gain per m/s of tool speed
-    noise_band_hz 500 1500       # optional
-    impact 0.5 2.0 0.02          # t_s  amplitude  decay_s   (repeatable)
-    waypoint 0 0 0 0             # x y z speed_mps (speed of travel TO here)
+    # optional
+    sample_rate_hz 5000
+    # vibration gain per m/s of tool speed
+    roughness 1.0
+    # optional
+    noise_band_hz 500 1500
+    # t_s amplitude decay_s (repeatable)
+    impact 0.5 2.0 0.02
+    # x y z speed_mps (speed of travel TO here)
+    waypoint 0 0 0 0
     waypoint 0.1 0 0 0.05
 
 Vibration per channel is speed-proportional band-limited noise plus decaying

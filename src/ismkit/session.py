@@ -63,13 +63,10 @@ def _check_t_us(t_us: int, what: str) -> int:
     return t_us
 
 
-def _store_f32(rec: np.ndarray, name: str, values, what: str) -> None:
-    """Store finite values into a float32 record field; DataError if one overflows it."""
-    with np.errstate(over="ignore"):
-        rec[name] = values
-    bad = ~np.isfinite(rec[name])
-    if bad.any():
-        raise DataError(f"{what} is not a finite float32: {np.asarray(values)[bad][0]}")
+# float32's rounding edge, halfway between its largest value and 2**128: a
+# value this large or larger becomes inf in a float32 field. A unit
+# quaternion stays far below it, so only positions and intensities are tested.
+_F32_EDGE = 2.0 ** 128 - 2.0 ** 103
 
 
 class SessionWriter:
@@ -124,6 +121,10 @@ class SessionWriter:
         if self._last_pose_t is not None and pose.t_us < self._last_pose_t:
             raise DataError(
                 f"pose timestamp regression: {pose.t_us} after {self._last_pose_t}")
+        x, y, z = pose.position.tolist()
+        if not (abs(x) < _F32_EDGE and abs(y) < _F32_EDGE and abs(z) < _F32_EDGE):
+            bad = next(v for v in (x, y, z) if not abs(v) < _F32_EDGE)
+            raise DataError(f"pose position is not a finite float32: {bad}")
         self._last_pose_t = pose.t_us
         self._pose_t.append(pose.t_us)
         # PoseSample holds float64 arrays; tobytes also copies a strided one
@@ -149,9 +150,12 @@ class SessionWriter:
             finite = False
         if not finite:
             raise DataError(f"intensity must be finite, got {intensity}")
+        value = float(intensity)
+        if not abs(value) < _F32_EDGE:
+            raise DataError(f"intensity is not a finite float32: {value}")
         self._last_ints_t = t_us
         self._ints_t.append(t_us)
-        self._ints_value.append(float(intensity))
+        self._ints_value.append(value)
         self._counts["INTS"] += 1
 
     def _new_pose_columns(self) -> None:
@@ -177,17 +181,14 @@ class SessionWriter:
         if self._pose_t:
             rec = np.empty(len(self._pose_t), dtype=_POSE_DTYPE)
             rec["t_us"] = self._pose_t
-            _store_f32(rec, "position", np.frombuffer(self._pose_position).reshape(-1, 3),
-                       "pose position")
-            _store_f32(rec, "orientation",
-                       np.frombuffer(self._pose_orientation).reshape(-1, 4),
-                       "pose orientation")
+            rec["position"] = np.frombuffer(self._pose_position).reshape(-1, 3)
+            rec["orientation"] = np.frombuffer(self._pose_orientation).reshape(-1, 4)
             self._write_chunk(TAG_POSE, rec)
             self._new_pose_columns()
         if self._ints_t:
             rec = np.empty(len(self._ints_t), dtype=_INTS_DTYPE)
             rec["t_us"] = self._ints_t
-            _store_f32(rec, "value", np.frombuffer(self._ints_value), "intensity")
+            rec["value"] = np.frombuffer(self._ints_value)
             self._write_chunk(TAG_INTENSITY, rec)
             self._new_intensity_columns()
         if self._meta:

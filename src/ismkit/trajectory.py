@@ -46,8 +46,20 @@ class PoseSample:
     orientation: np.ndarray
 
     def __init__(self, t_us: int, position: np.ndarray, orientation: np.ndarray):
-        pos, quat = (_plain_pose(position, orientation)
-                     or validate_poses(position, orientation, ndim=1))
+        pos = np.asarray(position, dtype=np.float64)
+        quat = np.asarray(orientation, dtype=np.float64)
+        # Python floats decide a usual pose faster than numpy's reductions
+        # over arrays this small; validate_poses decides every pose this test
+        # is not sure of, so the rule and its messages stay validate_poses'.
+        sure = False
+        if pos.shape == (3,) and quat.shape == (4,):
+            px, py, pz = pos.tolist()
+            w, x, y, z = quat.tolist()
+            # NaN fails the comparison; a finite sum has finite terms
+            sure = (abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= _PLAIN_NORM_TOL
+                    and math.isfinite(px + py + pz))
+        if not sure:
+            pos, quat = validate_poses(pos, quat, ndim=1)
         _set_t_us(self, int(t_us))
         _set_position(self, pos)
         _set_orientation(self, quat)
@@ -61,38 +73,6 @@ _set_t_us, _set_position, _set_orientation = (getattr(PoseSample, f.name).__set_
 # orders the sum of squares: four products and three sums differ by a few
 # ULP of 1 between summation orders.
 _PLAIN_NORM_TOL = QUAT_NORM_TOL - 16 * sys.float_info.epsilon
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _plain_pose(position, orientation) -> tuple[np.ndarray, np.ndarray] | None:
-    """One pose as validate_poses returns it, if it surely passes, checked without numpy.
-
-    Takes tuples or lists of Python floats, and float64 vectors, which are
-    returned as they are. Anything else, including every pose the rule
-    rejects, gives None, and validate_poses decides it.
-    """
-    if type(position) is np.ndarray and type(orientation) is np.ndarray:
-        if not (position.dtype is orientation.dtype is _FLOAT64
-                and position.shape == (3,) and orientation.shape == (4,)):
-            return None
-        checked = position, orientation
-        position, orientation = position.tolist(), orientation.tolist()
-    elif type(position) in (tuple, list) and type(orientation) in (tuple, list):
-        checked = None
-    else:
-        return None
-    try:
-        px, py, pz = position
-        w, x, y, z = orientation
-    except ValueError:
-        return None
-    if not type(px) is type(py) is type(pz) is type(w) is type(x) is type(y) is type(z) is float:
-        return None
-    # NaN fails the comparison; a finite sum has finite terms
-    if not (abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= _PLAIN_NORM_TOL
-            and math.isfinite(px + py + pz)):
-        return None
-    return checked or (np.array(position), np.array(orientation))
 
 
 def validate_poses(positions, orientations, ndim: int = 2) -> tuple[np.ndarray, np.ndarray]:

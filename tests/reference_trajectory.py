@@ -23,7 +23,7 @@ def _quat_to_matrix(q):
     ])
 
 
-def reference_trajectory(poses, profile, calibration, lut, norm, config):
+def reference_trajectory(poses, profile, calibration, norm, config):
     if not poses:
         raise DataError("empty pose stream")
     if len(profile) == 0:
@@ -61,7 +61,7 @@ def reference_trajectory(poses, profile, calibration, lut, norm, config):
                 continue
             if pose.t_us - last_t_us < min_interval_us:
                 continue
-        rgb = map_color(normalize(held_intensity, norm), lut)
+        rgb = map_color(normalize(held_intensity, norm))
         points.append(TrajectoryPoint(t_us=pose.t_us, tip_position=tip,
                                       intensity=held_intensity, rgb=rgb))
         last_tip = tip

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ismkit.colormap import ColorLut, NormalizationConfig, TURBO, map_color, normalize
+from ismkit._turbo_data import TURBO_TABLE
+from ismkit.colormap import NormalizationConfig, TURBO, map_color, normalize
 from ismkit.errors import DataError
 
 
@@ -51,10 +52,10 @@ class TestMapColor:
             map_color(-0.0001)
 
     def test_midpoint_interpolates(self):
-        lut_entries = [(0, 0, 0)] * 255 + [(255, 255, 255)]
-        lut = ColorLut(tuple(lut_entries))
-        t = 254.5 / 255.0
-        assert map_color(t, lut) == (128, 128, 128)
+        # knots 58 and 59 differ by an even step in every channel, so halfway
+        # between them is a whole colour and no rounding tie
+        a, b = TURBO.table[58], TURBO.table[59]
+        assert map_color(58.5 / 255.0) == tuple((x + y) // 2 for x, y in zip(a, b))
 
     @given(t=st.floats(0.0, 1.0), eps=st.floats(1e-6, 0.01))
     def test_continuity(self, t, eps):
@@ -69,12 +70,8 @@ class TestMapColor:
         assert map_color(0.3137) == map_color(0.3137)
 
 
-class TestLut:
-    def test_exactly_256_required(self):
-        with pytest.raises(DataError):
-            ColorLut(((0, 0, 0),) * 255)
-
-    def test_range_checked(self):
-        entries = [(0, 0, 0)] * 255 + [(256, 0, 0)]
-        with pytest.raises(DataError):
-            ColorLut(tuple(entries))
+class TestTurboTable:
+    def test_256_entries_each_0_to_255(self):
+        assert len(TURBO_TABLE) == 256
+        assert all(len(rgb) == 3 and all(type(c) is int and 0 <= c <= 255 for c in rgb)
+                   for rgb in TURBO_TABLE)

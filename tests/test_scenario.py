@@ -1,7 +1,10 @@
+import textwrap
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from ismkit import scenario as scenario_module
 from ismkit.errors import DataError, FileFormatError
 from ismkit.scenario import (IMPACT_TONE_HZ, N_CHANNELS, POSE_RATE_HZ, Impact, SyntheticScenario,
                              Waypoint, _leg_index, _legs, _path_positions, load_scenario,
@@ -30,6 +33,16 @@ class TestLoadScenario:
         assert scenario.duration_s == 1.0
         assert scenario.roughness == 0.5
         assert len(scenario.waypoints) == 2
+
+    def test_the_module_docstring_example_loads(self, tmp_path):
+        block = next(part for part in scenario_module.__doc__.split("\n\n")
+                     if part.startswith("    "))
+        scenario = load_scenario(_write(tmp_path, textwrap.dedent(block)))
+        assert (scenario.duration_s, scenario.sample_rate_hz, scenario.roughness,
+                scenario.noise_band_hz, scenario.impacts) == (
+                    2.0, 5000.0, 1.0, (500.0, 1500.0), (Impact(0.5, 2.0, 0.02),))
+        assert [(w.position.tolist(), w.speed_mps) for w in scenario.waypoints] == [
+            ([0.0, 0.0, 0.0], 0.0), ([0.1, 0.0, 0.0], 0.05)]
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = _write(tmp_path, "duration_s 1\nwhatever 3\nwaypoint 0 0 0 0\n")

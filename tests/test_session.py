@@ -150,23 +150,50 @@ class TestValidation:
             _POSE_RECORD.pack(p.t_us, *p.position, *p.orientation) for p in poses)
         assert chunks[TAG_INTENSITY] == b"".join(_INTS_RECORD.pack(t, v) for t, v in ints)
 
-    @pytest.mark.parametrize("position, intensity, message", [
-        ((0.0, 1e39, 0.0), 0.5, "pose position is not a finite float32: 1e+39"),
-        ((0.0, 0.0, -3.5e38), 0.5, "pose position is not a finite float32: -3.5e+38"),
-        ((0.0, 0.0, 0.0), 1e300, "intensity is not a finite float32: 1e+300"),
+    @pytest.mark.parametrize("position, intensity, message, kept", [
+        ((0.0, 1e39, 0.0), 0.5, "pose position is not a finite float32: 1e+39", (5, 0)),
+        ((0.0, 0.0, -3.5e38), 0.5, "pose position is not a finite float32: -3.5e+38", (5, 0)),
+        ((0.0, 0.0, 0.0), 1e300, "intensity is not a finite float32: 1e+300", (6, 1)),
     ])
-    def test_beyond_float32_is_data_error_at_close(self, tmp_path, position, intensity,
-                                                   message):
+    def test_beyond_float32_is_refused_at_append(self, tmp_path, position, intensity,
+                                                 message, kept):
+        """The bad record is refused, and the file holds every record before it."""
         path = tmp_path / "big.isms"
-        writer = SessionWriter(path, channels=1)
-        writer.append_pose(PoseSample(0, np.zeros(3), IDENTITY_Q))
-        writer.append_pose(PoseSample(1, np.array(position), IDENTITY_Q))
-        writer.append_intensity(0, intensity)
+        poses = [PoseSample(t_us, np.zeros(3), IDENTITY_Q) for t_us in range(5)]
         with pytest.raises(DataError) as raised:
-            writer.close()
+            record(path, poses=poses + [PoseSample(5, np.array(position), IDENTITY_Q)],
+                   intensities=[(0, 0.5), (1, intensity)], channels=1)
         assert type(raised.value) is DataError
         assert str(raised.value) == message
-        assert writer._fh.closed
+        session = Session.open(path)
+        assert (len(session.poses), len(session.intensities)) == kept
+
+    def test_float32_rounding_edge_ulp_by_ulp(self, tmp_path):
+        """A value is refused exactly when numpy's float32 conversion overflows."""
+        edge = 2.0 ** 128 - 2.0 ** 103  # halfway between float32's largest value and 2**128
+        values = np.array([sign * (edge + k * 2.0 ** 75)  # 2**75 is one float64 ULP here
+                           for k in range(-64, 65) for sign in (1.0, -1.0)])
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(values.astype(np.float32))
+        assert fits.sum() == 128
+        path = tmp_path / "edge.isms"
+        with SessionWriter(path, channels=1) as writer:
+            for t_us, (value, fit) in enumerate(zip(values.tolist(), fits)):
+                pose = PoseSample(t_us, (0.0, value, 0.0), IDENTITY_Q)
+                if fit:
+                    writer.append_pose(pose)
+                    writer.append_intensity(t_us, value)
+                    continue
+                with pytest.raises(DataError) as pose_refused:
+                    writer.append_pose(pose)
+                with pytest.raises(DataError) as intensity_refused:
+                    writer.append_intensity(t_us, value)
+                assert str(pose_refused.value) == f"pose position is not a finite float32: {value}"
+                assert str(intensity_refused.value) == f"intensity is not a finite float32: {value}"
+        stored = values[fits].astype(np.float32).astype(np.float64).tolist()
+        session = Session.open(path)
+        assert [pose.position[1] for pose in session.poses] == stored
+        assert session.intensities[:, 1].tolist() == stored
 
     def test_largest_float32_stored(self, tmp_path):
         big = float(np.finfo(np.float32).max)

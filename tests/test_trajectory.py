@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ismkit import trajectory
-from ismkit.colormap import TURBO, NormalizationConfig, map_color, normalize
+from ismkit.colormap import NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
 from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
@@ -69,6 +69,12 @@ class TestPoseSample:
         # its squared length overflows, which must not read as non-finite
         p = PoseSample(0, np.array([1e200, -1e300, 0.0]), IDENTITY_Q)
         assert p.position[1] == -1e300
+
+    @pytest.mark.parametrize("position", [np.arange(6.0)[::2], np.array([1e308, 1e308, 0.0])])
+    def test_float64_vectors_are_stored_as_given(self, position):
+        # poses built from one orientation array share it
+        pose = PoseSample(0, position, IDENTITY_Q)
+        assert pose.position is position and pose.orientation is IDENTITY_Q
 
     @pytest.mark.parametrize("position, orientation, message", [
         ([0.0, np.nan, 0.0], [1.0, 0.0, 0.0, 0.0], "pose contains non-finite values"),
@@ -521,7 +527,7 @@ class TestBuildTrajectoryMatchesReference:
             return
         with _patched(config):
             got = build_trajectory(poses, profile, calibration, norm=norm)
-        want = reference_trajectory(poses, profile, calibration, TURBO, norm, config)
+        want = reference_trajectory(poses, profile, calibration, norm, config)
         _same_points(got, want)
 
     def test_pivoting_tool_with_calibration(self):
@@ -532,7 +538,7 @@ class TestBuildTrajectoryMatchesReference:
             config = _gates(min_spacing_m=0.005)
             with _patched(config):
                 got = build_trajectory(poses, profile, calibration)
-            _same_points(got, reference_trajectory(poses, profile, calibration, TURBO,
+            _same_points(got, reference_trajectory(poses, profile, calibration,
                                               NormalizationConfig(1.0), config))
 
     def test_exact_spacing_threshold(self):
@@ -544,7 +550,7 @@ class TestBuildTrajectoryMatchesReference:
         profile = IntensityProfile(np.ones(200))
         got = build_trajectory(poses, profile)
         _same_points(got, reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)),
-                                               TURBO, NormalizationConfig(1.0), config))
+                                               NormalizationConfig(1.0), config))
 
     def test_distance_rounding_tie_follows_numpy_norm(self):
         # a step whose plain-float length rounds differently from
@@ -565,7 +571,7 @@ class TestBuildTrajectoryMatchesReference:
         profile = IntensityProfile(np.ones(50))
         with _patched(config):
             got = build_trajectory(poses, profile)
-        want = reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)), TURBO,
+        want = reference_trajectory(poses, profile, ToolCalibration(np.zeros(3)),
                                     NormalizationConfig(1.0), config)
         assert len(got) == len(want) == 2
 
