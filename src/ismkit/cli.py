@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ism, psychophysics as psy, session as sess, wire
-from .colormap import NormalizationConfig, map_color, normalize
+from .colormap import NormalizationConfig, map_colors
 from .errors import (DataError, FileFormatError, IsmkitError, ProtocolError, UsageError,
                      decoding)
 from .scenario import load_scenario, simulate
@@ -219,8 +219,8 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
                            int(round(session.segment_ms * 10)))
         # replay_events yields the poses in this order, a stable sort by time
         poses = sorted(session.poses, key=lambda pose: pose.t_us)
-        pose_values = iter(aligned_intensity(poses, session.intensities).tolist())
-        norm = cfg.norm()
+        values = aligned_intensity(poses, session.intensities)
+        pose_values = zip(values.tolist(), map_colors(values, cfg.norm()).tolist())
         sender = wire.FrameSender(
             endpoint, policy="block" if math.isinf(clock.speed) else "drop-oldest")
     try:
@@ -233,9 +233,8 @@ def _replay(session: sess.Session, clock: sess.ReplayClock, endpoint: str | None
             if pose is None:
                 sender.send(wire.IntensityOnly(t_us, value))
             else:
-                value = next(pose_values)
-                sender.send(wire.Frame(t_us, pose.position, pose.orientation, value,
-                                       map_color(normalize(value, norm))))
+                value, rgb = next(pose_values)
+                sender.send(wire.Frame(t_us, pose.position, pose.orientation, value, rgb))
         wall_s = time.monotonic() - start_wall
     except BaseException:
         # a cut stream ends without End, so the peer does not take it for whole

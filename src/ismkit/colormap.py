@@ -20,6 +20,9 @@ class ColorLut:
 
 
 TURBO = ColorLut(TURBO_TABLE)
+# map_colors' table: TURBO's rows as float64 and the step from each to the next
+_TURBO_ROWS = np.array(TURBO_TABLE, dtype=np.float64)
+_TURBO_STEPS = np.diff(_TURBO_ROWS, axis=0)
 
 
 @dataclass(frozen=True)
@@ -54,3 +57,25 @@ def map_color(t: float) -> tuple[int, int, int]:
     return (round(a[0] + (b[0] - a[0]) * frac),
             round(a[1] + (b[1] - a[1]) * frac),
             round(a[2] + (b[2] - a[2]) * frac))
+
+
+def map_colors(intensities, config: NormalizationConfig) -> np.ndarray:
+    """map_color(normalize(v, config)) of every intensity v, bit for bit, as
+    a uint8 array with a last axis of 3, from one lookup over the whole array.
+
+    The same float64 operations in the same order: the position t, its knot
+    int(t * 255) and fraction, each channel's interpolation, and rounding
+    half to even, as round() does. A value normalize or map_color refuses
+    raises the same DataError, for the first such value.
+    """
+    values = np.asarray(intensities, dtype=np.float64)
+    bad = ~(values >= 0.0)  # negative or NaN
+    if bad.any():
+        first = float(values.flat[np.argmax(bad)])
+        map_color(normalize(first, config))
+    with np.errstate(over="ignore"):  # a quotient past the float range clamps to 1
+        x = np.minimum(values / config.i_max, 1.0) * (LUT_SIZE - 1)
+    # t = 1 takes the last knot as knot 254 at fraction 1: a + (b - a) is b
+    knot = np.minimum(x.astype(np.intp), LUT_SIZE - 2)
+    frac = (x - knot)[..., None]
+    return np.rint(_TURBO_ROWS[knot] + _TURBO_STEPS[knot] * frac).astype(np.uint8)

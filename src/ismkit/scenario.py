@@ -39,6 +39,8 @@ from .trajectory import PoseSample, poses_from_arrays
 
 POSE_RATE_HZ = 120.0
 IMPACT_TONE_HZ = 800.0
+# exp(-x) underflows to exactly 0.0 from x of about 745.13; a burst ends here
+BURST_DECAYS = 750.0
 N_CHANNELS = 4
 
 
@@ -210,8 +212,12 @@ def simulate(scenario: SyntheticScenario, seed: int = 0
     bursts = np.zeros(n)
     for impact in scenario.impacts:
         i0 = int(round(impact.t_s * rate))  # past the end, the slices are empty
-        tail = t[i0:] - impact.t_s
-        bursts[i0:] += impact.amplitude * np.exp(-tail / impact.decay_s) * np.sin(
+        # past BURST_DECAYS decay constants exp is exactly 0, so the burst adds
+        # only zeros of either sign, which leave every sum as it is
+        span = BURST_DECAYS * impact.decay_s * rate
+        i1 = n if span >= n else i0 + math.ceil(span) + 1
+        tail = t[i0:i1] - impact.t_s
+        bursts[i0:i1] += impact.amplitude * np.exp(-tail / impact.decay_s) * np.sin(
             2.0 * np.pi * IMPACT_TONE_HZ * tail)
 
     gain = scenario.roughness * speed

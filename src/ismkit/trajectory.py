@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .colormap import NormalizationConfig, map_color, normalize
+from .colormap import NormalizationConfig, map_colors
 from .errors import DataError, FileFormatError, csv_rows, decoding
 from .ism import IntensityProfile
 
@@ -141,6 +142,29 @@ class TrajectoryPoint:
     rgb: tuple[int, int, int]
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Coloured trajectory points as columns, one row per point.
+
+    t_us holds the poses' own ints (a pose CSV may hold negative times), tips
+    is (n, 3) float64, intensity (n,) float64 and rgb (n, 3) uint8. Indexing
+    yields a TrajectoryPoint with Python scalars.
+    """
+
+    t_us: list[int]
+    tips: np.ndarray
+    intensity: np.ndarray
+    rgb: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def __getitem__(self, i: int) -> TrajectoryPoint:
+        i = operator.index(i)
+        return TrajectoryPoint(self.t_us[i], self.tips[i], float(self.intensity[i]),
+                               tuple(self.rgb[i].tolist()))
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of unit quaternions (w, x, y, z): shape (..., 4) to (..., 3, 3)."""
     q = np.asarray(q, dtype=np.float64)
@@ -187,15 +211,15 @@ def pivot_calibrate(poses: list[PoseSample]) -> tuple[ToolCalibration, float]:
 
 def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.ndarray,
                      calibration: ToolCalibration = IDENTITY_CALIBRATION,
-                     norm: NormalizationConfig = NormalizationConfig(1.0)
-                     ) -> list[TrajectoryPoint]:
-    """Decimate poses into colored trajectory points.
+                     norm: NormalizationConfig = NormalizationConfig(1.0)) -> Trajectory:
+    """Decimate poses into a coloured Trajectory.
 
     A pose is emitted only when its tip has moved at least MIN_SPACING_M from
     the last emitted point AND at least 1/MAX_POINT_RATE_HZ has elapsed.
     Each point takes its pose's aligned_intensity and that value's TURBO colour;
     profile is what aligned_intensity takes.
-    Everything but the sequential decimation runs over whole arrays.
+    Each pose's fields are read once; everything but the sequential
+    decimation runs over whole arrays.
     """
     if not poses:
         raise DataError("empty pose stream")
@@ -206,19 +230,15 @@ def build_trajectory(poses: list[PoseSample], profile: IntensityProfile | np.nda
         if t <= prev:
             raise DataError(f"pose timestamps not strictly increasing at t_us={t}")
 
-    intensity = aligned_intensity(poses, profile)
+    intensity = _aligned(np.array(t_us, dtype=np.float64), profile)
     # a stacked matmul forms each pose's product as tip_position's does
     tips = (np.array([p.position for p in poses])
             + np.matmul(quat_to_matrix(np.array([p.orientation for p in poses])),
                         calibration.tip_offset))
 
     kept = _decimate(t_us, tips)
-    points: list[TrajectoryPoint] = []
-    for i, tip in zip(kept, tips[kept]):
-        held = float(intensity[i])
-        points.append(TrajectoryPoint(t_us=t_us[i], tip_position=tip, intensity=held,
-                                      rgb=map_color(normalize(held, norm))))
-    return points
+    held = intensity[kept]
+    return Trajectory([t_us[i] for i in kept], tips[kept], held, map_colors(held, norm))
 
 
 def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.ndarray
@@ -231,6 +251,11 @@ def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.nd
     finite and non-negative. Times compare as float64 microseconds, exact
     below 2^53.
     """
+    return _aligned(np.array([p.t_us for p in poses], dtype=np.float64), profile)
+
+
+def _aligned(t_us: np.ndarray, profile: IntensityProfile | np.ndarray) -> np.ndarray:
+    """aligned_intensity over the poses' times as float64 microseconds."""
     if isinstance(profile, IntensityProfile):
         times, values = profile.midpoints_us(), profile.values
     else:
@@ -238,7 +263,6 @@ def aligned_intensity(poses: list[PoseSample], profile: IntensityProfile | np.nd
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
         # the profile's own rule checks the values
         times, values = rows[:, 0], IntensityProfile(rows[:, 1]).values
-    t_us = np.array([p.t_us for p in poses], dtype=np.float64)
     n = times.size
     if n == 0:
         return np.zeros(t_us.size)
@@ -257,11 +281,12 @@ def _decimate(t_us: list[int], tips: np.ndarray) -> list[int]:
     """Indices of the poses the spacing and rate gates emit, first pose always."""
     min_spacing = MIN_SPACING_M - SPACING_EPSILON_M
     min_interval_us = 1e6 / MAX_POINT_RATE_HZ
-    rows = tips.tolist()
+    # one flat list per axis: a list per row would be as many objects for the
+    # cyclic collector to count and traverse, with a session's poses alive
+    xs, ys, zs = tips.T.tolist()
     kept = [0]
-    last_t, (lx, ly, lz) = t_us[0], rows[0]
-    for i in range(1, len(rows)):
-        t, (x, y, z) = t_us[i], rows[i]
+    last_t, lx, ly, lz = t_us[0], xs[0], ys[0], zs[0]
+    for i, t, x, y, z in zip(range(1, len(xs)), t_us[1:], xs[1:], ys[1:], zs[1:]):
         dx, dy, dz = x - lx, y - ly, z - lz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if math.isclose(dist, min_spacing, rel_tol=1e-12):
@@ -274,14 +299,19 @@ def _decimate(t_us: list[int], tips: np.ndarray) -> list[int]:
     return kept
 
 
-def export_ply(points: list[TrajectoryPoint], path) -> None:
-    """Write trajectory points as an ASCII PLY point cloud with vertex colors."""
-    if not points:
+def export_ply(trajectory: Trajectory, path) -> None:
+    """Write a trajectory as an ASCII PLY point cloud with vertex colors."""
+    n = len(trajectory)
+    if not n:
         raise DataError("refusing to write an empty PLY")
+    # Python floats and ints, row by row, for one %-format of every row
+    rows = np.empty((n, 6), dtype=object)
+    rows[:, :3] = trajectory.tips
+    rows[:, 3:] = trajectory.rgb
     with open(path, "w", encoding="ascii") as fh:
         fh.write("ply\n"
                  "format ascii 1.0\n"
-                 f"element vertex {len(points)}\n"
+                 f"element vertex {n}\n"
                  "property float x\n"
                  "property float y\n"
                  "property float z\n"
@@ -289,10 +319,7 @@ def export_ply(points: list[TrajectoryPoint], path) -> None:
                  "property uchar green\n"
                  "property uchar blue\n"
                  "end_header\n")
-        for p in points:
-            x, y, z = p.tip_position
-            r, g, b = p.rgb
-            fh.write(f"{x:g} {y:g} {z:g} {r} {g} {b}\n")
+        fh.write(("%g %g %g %d %d %d\n" * n) % tuple(rows.ravel().tolist()))
 
 
 def load_ply(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ismkit.psychophysics import PsychoModel
 from ismkit.signal import Waveform
+
+# more examples for the mutant-file tests, which CI runs with a fixed seed:
+# pytest tests/test_trajectory.py -k TestMutatedFiles --hypothesis-profile=mutants
+settings.register_profile("mutants", max_examples=1500, deadline=None)
 
 FS = 5000.0
 

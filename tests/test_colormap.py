@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ismkit._turbo_data import TURBO_TABLE
-from ismkit.colormap import NormalizationConfig, TURBO, map_color, normalize
+from ismkit.colormap import NormalizationConfig, TURBO, map_color, map_colors, normalize
 from ismkit.errors import DataError
 
 
@@ -68,6 +68,73 @@ class TestMapColor:
 
     def test_deterministic(self):
         assert map_color(0.3137) == map_color(0.3137)
+
+
+def _one_by_one(values, cfg):
+    """map_color(normalize(v, cfg)) per value, as map_colors returns them."""
+    return np.array([map_color(normalize(v, cfg)) for v in values], dtype=np.uint8).reshape(-1, 3)
+
+
+def _knot_positions():
+    """t = 0 and 1, every knot k/255 and its float neighbours, and eighths of
+    each knot interval, where a channel's interpolation can land on a half."""
+    knots = np.arange(256) / 255.0
+    eighths = (np.arange(255)[:, None] + np.arange(1, 8) / 8.0).ravel() / 255.0
+    t = np.concatenate([[0.0, 1.0], knots, np.nextafter(knots, 0.0),
+                        np.nextafter(knots, 1.0), eighths])
+    return t[(t >= 0.0) & (t <= 1.0)]
+
+
+class TestMapColors:
+    """The whole-array lookup is map_color(normalize(v)) per value, bit for bit."""
+
+    @pytest.mark.parametrize("i_max", [1.0, 3.0, 0.7])
+    def test_every_knot_and_its_neighbours(self, i_max):
+        cfg = NormalizationConfig(i_max)
+        values = _knot_positions() * i_max
+        got = map_colors(values, cfg)
+        assert got.dtype == np.uint8 and got.shape == (values.size, 3)
+        assert np.array_equal(got, _one_by_one(values.tolist(), cfg))
+
+    def test_some_positions_round_a_half(self):
+        # the eighths hold exact ties, which round half to even as round() does
+        t = _knot_positions()
+        x = t * 255.0
+        knot = np.minimum(x.astype(int), 254)
+        table = np.array(TURBO.table, dtype=np.float64)
+        exact = table[knot] + (table[knot + 1] - table[knot]) * (x - knot)[:, None]
+        assert np.any(exact % 1.0 == 0.5)
+        assert np.array_equal(map_colors(t, NormalizationConfig(1.0)),
+                              _one_by_one(t.tolist(), NormalizationConfig(1.0)))
+
+    def test_ends_and_values_above_i_max(self):
+        cfg = NormalizationConfig(2.5)
+        values = [0.0, -0.0, 2.5, np.nextafter(2.5, 0.0), np.nextafter(2.5, 3.0), 3.0,
+                  1e6, 1e308, np.inf]
+        got = map_colors(values, cfg)
+        assert got[0].tolist() == list(TURBO.table[0]) and got[2].tolist() == list(TURBO.table[-1])
+        assert np.array_equal(got, _one_by_one(values, cfg))
+
+    def test_no_values_give_no_colours(self):
+        assert map_colors([], NormalizationConfig(1.0)).shape == (0, 3)
+
+    @pytest.mark.parametrize("values,message", [
+        ([0.5, -0.1, np.nan], "intensity must be non-negative, got -0.1"),
+        ([0.5, np.nan, -0.1], "color position nan outside"),
+    ])
+    def test_the_first_refused_value_raises_as_one_by_one(self, values, message):
+        cfg = NormalizationConfig(1.0)
+        with pytest.raises(DataError, match=message):
+            _one_by_one(values, cfg)
+        with pytest.raises(DataError, match=message):
+            map_colors(values, cfg)
+
+    @given(values=st.lists(st.floats(0.0, allow_nan=False, allow_infinity=False),
+                           max_size=50),
+           i_max=st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+    def test_random_intensities_and_i_max(self, values, i_max):
+        cfg = NormalizationConfig(i_max)
+        assert np.array_equal(map_colors(values, cfg), _one_by_one(values, cfg))
 
 
 class TestTurboTable:

@@ -279,6 +279,22 @@ class TestSimulateInBulk:
         assert got_pos.tobytes() == want_pos.tobytes()
         assert got_speed.tobytes() == want_speed.tobytes()
 
+    def test_bursts_stop_where_their_decay_reaches_zero(self):
+        # 10 ms bursts reach exactly 0.0 about 7.5 s after onset, well inside
+        # 60 s; the path stops moving at 4 s, so from there each sample is the
+        # bursts alone, down to their last subnormal. One impact starts in
+        # the final millisecond.
+        scenario = SyntheticScenario(
+            duration_s=60.0, waypoints=_path((0.2, 0.0, 0.0, 0.05)),
+            impacts=(Impact(0.5, 2.0, 0.01), Impact(1.25, 1.0, 0.01), Impact(3.0, 0.5, 0.002),
+                     Impact(60.0 - 0.0005, 3.0, 0.01)))
+        vibration, _ = simulate(scenario, seed=4)
+        want, _ = _reference_simulate(scenario, 4)
+        got = np.stack([ch.samples for ch in vibration.channels], axis=1)
+        assert got.tobytes() == want.tobytes()
+        hold = got[int(4.5 * scenario.sample_rate_hz):, 0]
+        assert 0.0 < np.abs(hold[hold != 0.0]).min() < np.finfo(np.float64).tiny
+
     def test_a_leg_too_short_to_move_the_clock_holds_no_time(self):
         # 1e-18 s after 1 s of travel adds nothing to the float clock
         scenario = SyntheticScenario(duration_s=3.0, waypoints=_path(

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
@@ -14,8 +15,8 @@ from ismkit.colormap import NormalizationConfig, map_color, normalize
 from ismkit.errors import DataError, FileFormatError
 from ismkit.ism import IntensityProfile
 from ismkit.trajectory import (QUAT_NORM_TOL, SPACING_EPSILON_M, PoseSample, ToolCalibration,
-                               aligned_intensity, build_trajectory, export_ply,
-                               load_calibration, load_ply, load_pose_csv,
+                               Trajectory, TrajectoryPoint, aligned_intensity, build_trajectory,
+                               export_ply, load_calibration, load_ply, load_pose_csv,
                                pivot_calibrate, poses_from_arrays, quat_to_matrix,
                                save_calibration, save_pose_csv, tip_position, validate_poses)
 
@@ -429,6 +430,36 @@ class TestBuildTrajectory:
         assert np.all(dts >= 5000)
 
 
+class TestTrajectoryColumns:
+    def test_columns_hold_the_kept_poses(self):
+        # negative times, as a pose CSV may hold, and ints past int64
+        times = [-30_000, -25_000, 0, 2**63 + 5, 2**64 + 7]
+        poses = [PoseSample(t, np.array([0.01 * i, 0.0, 0.0]), IDENTITY_Q)
+                 for i, t in enumerate(times)]
+        got = build_trajectory(poses, [(-30_000, 0.5), (0, 2.0)], norm=NormalizationConfig(2.0))
+        assert isinstance(got, Trajectory) and len(got) == 5
+        assert got.t_us == times and all(type(t) is int for t in got.t_us)
+        assert got.tips.dtype == np.float64 and got.tips.shape == (5, 3)
+        assert got.intensity.dtype == np.float64
+        assert got.intensity.tolist() == [0.5, 0.5, 2.0, 2.0, 2.0]
+        assert got.rgb.dtype == np.uint8 and got.rgb.shape == (5, 3)
+        assert got.rgb[-1].tolist() == list(map_color(1.0))
+
+    def test_indexing_yields_trajectory_points(self):
+        poses = _line_poses()
+        got = build_trajectory(poses, IntensityProfile(np.linspace(0.0, 2.0, 400)))
+        point = got[-1]
+        assert isinstance(point, TrajectoryPoint)
+        assert point.t_us == got.t_us[-1] and type(point.intensity) is float
+        assert point.rgb == tuple(got.rgb[-1].tolist()) and type(point.rgb[0]) is int
+        assert np.array_equal(point.tip_position, got.tips[-1])
+        assert [p.t_us for p in got] == got.t_us
+        with pytest.raises(IndexError):
+            got[len(got)]
+        with pytest.raises(TypeError):
+            got[1:3]
+
+
 def _same_points(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -581,25 +612,79 @@ class TestBuildTrajectoryMatchesReference:
             build_trajectory(poses, IntensityProfile(np.ones(5)))
 
 
+def _columns(tips, rgb, t_us=None):
+    """A Trajectory of these rows, intensity 0."""
+    tips = np.asarray(tips, dtype=np.float64).reshape(-1, 3)
+    return Trajectory(list(range(len(tips))) if t_us is None else t_us, tips,
+                      np.zeros(len(tips)), np.asarray(rgb, dtype=np.uint8).reshape(-1, 3))
+
+
+def _per_point_ply(points, path) -> None:
+    """The per-point PLY writer export_ply replaced, kept as its reference."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("ply\n"
+                 "format ascii 1.0\n"
+                 f"element vertex {len(points)}\n"
+                 "property float x\n"
+                 "property float y\n"
+                 "property float z\n"
+                 "property uchar red\n"
+                 "property uchar green\n"
+                 "property uchar blue\n"
+                 "end_header\n")
+        for p in points:
+            x, y, z = p.tip_position
+            r, g, b = p.rgb
+            fh.write(f"{x:g} {y:g} {z:g} {r} {g} {b}\n")
+
+
+def _assert_writes_as_per_point(trajectory, tmp_path):
+    """export_ply's bytes are the per-point writer's, and load_ply reads them back:
+    positions to %g precision, colours exact."""
+    got, want = tmp_path / "columns.ply", tmp_path / "per_point.ply"
+    export_ply(trajectory, got)
+    _per_point_ply(list(trajectory), want)
+    assert got.read_bytes() == want.read_bytes()
+    pos, rgb = load_ply(got)
+    assert pos.tobytes() == np.array([float(f"{v:g}") for v in trajectory.tips.ravel()]
+                                     ).reshape(-1, 3).tobytes()
+    assert np.array_equal(rgb, trajectory.rgb)
+
+
 class TestPlyExport:
     def test_single_point_layout(self, tmp_path):
-        from ismkit.trajectory import TrajectoryPoint
         path = tmp_path / "one.ply"
-        points = [TrajectoryPoint(0, np.zeros(3), 1.0, (255, 0, 0))]
-        export_ply(points, path)
+        export_ply(_columns(np.zeros(3), (255, 0, 0)), path)
         text = path.read_text().splitlines()
         assert "element vertex 1" in text
         assert text[-1] == "0 0 0 255 0 0"
 
     def test_count_matches(self, tmp_path):
-        from ismkit.trajectory import TrajectoryPoint
-        points = [TrajectoryPoint(i, np.array([i * 0.1, 0.0, 0.0]), 0.0, (0, 0, 0))
-                  for i in range(7)]
+        tips = np.column_stack([np.arange(7) * 0.1, np.zeros(7), np.zeros(7)])
         path = tmp_path / "seven.ply"
-        export_ply(points, path)
+        export_ply(_columns(tips, np.zeros((7, 3))), path)
         pos, rgb = load_ply(path)
         assert pos.shape == (7, 3)
         assert np.allclose(pos[:, 0], np.arange(7) * 0.1, atol=1e-6)
+
+    def test_edge_values_write_as_the_per_point_writer(self, tmp_path):
+        tips = [(-0.0, 1e-5, 123456.789), (1e21, -1e21, 0.0), (-1e-5, -123456.789, 5e-324),
+                (1.5, 0.1, -2.25e-7), (999999.5, 1e16, -0.0)]
+        rgb = [(0, 0, 0), (255, 255, 255), (0, 255, 0), (255, 0, 255), (1, 128, 254)]
+        trajectory = _columns(tips, rgb, t_us=[-5, 0, 3, 2**64 - 1, 2**70])
+        _assert_writes_as_per_point(trajectory, tmp_path)
+        assert tmp_path.joinpath("columns.ply").read_text().splitlines()[-5:-3] == [
+            "-0 1e-05 123457 0 0 0", "1e+21 -1e+21 0 255 255 255"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(-1.0, 1.0), st.floats(-1e6, 1e6, width=32),
+                                   st.integers(0, 255), st.integers(0, 255),
+                                   st.integers(0, 255)), min_size=1, max_size=40))
+    def test_random_rows_write_as_the_per_point_writer(self, tmp_path_factory, rows):
+        tips = [r[:3] for r in rows]
+        rgb = [r[3:] for r in rows]
+        _assert_writes_as_per_point(_columns(tips, rgb), tmp_path_factory.mktemp("ply"))
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -625,6 +710,70 @@ class TestPlyExport:
                          + b"\nend_header\n0 0 0 1 2 3\n")
         with pytest.raises(FileFormatError, match="short.ply: truncated vertex list at row 1"):
             load_ply(path)
+
+
+# the values a hostile file puts where a number belongs
+_SWAP_TOKENS = (b"nan", b"inf", b"1e309", b"\xff")
+
+
+@st.composite
+def _mutant(draw, seed: bytes) -> bytes:
+    """seed after one to four truncations, bit flips, inserts, deletes or token swaps."""
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["truncate", "flip", "insert", "delete", "swap"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "flip" and data:
+            data[min(at, len(data) - 1)] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 16))]
+        elif kind == "swap":
+            tokens = list(re.finditer(rb"\S+", data))
+            if tokens:
+                token = tokens[draw(st.integers(0, len(tokens) - 1))]
+                data[token.start():token.end()] = draw(st.sampled_from(_SWAP_TOKENS))
+    return bytes(data)
+
+
+def _seed_files(tmp_path):
+    """A PLY written by export_ply and a calibration written by save_calibration."""
+    poses = _pivot_poses(np.array([0.01, -0.02, 0.15]), np.array([0.3, 0.2, 0.1]), n=12)
+    ply, calibration = tmp_path / "seed.ply", tmp_path / "seed.cal"
+    export_ply(build_trajectory(poses, IntensityProfile(np.linspace(0.0, 2.0, 40))), ply)
+    save_calibration(ToolCalibration(np.array([0.01, -0.02, 0.15])), 1.25e-4, calibration)
+    return {load_ply: ply.read_bytes(), load_calibration: calibration.read_bytes()}
+
+
+def _write_bytes(tmp_path_factory, data: bytes):
+    path = tmp_path_factory.getbasetemp() / "mutant"
+    path.write_bytes(data)
+    return path
+
+
+class TestMutatedFiles:
+    """Every mutant of a valid file reads, or raises DataError (FileFormatError
+    is one); no other exception escapes. CI runs this with the "mutants"
+    hypothesis profile (tests/conftest.py) and a fixed seed."""
+
+    @pytest.mark.parametrize("reader", [load_ply, load_calibration],
+                             ids=["load_ply", "load_calibration"])
+    def test_a_mutant_reads_or_raises_a_data_error(self, reader, tmp_path_factory):
+        seed = _seed_files(tmp_path_factory.mktemp("seeds"))[reader]
+        reader(_write_bytes(tmp_path_factory, seed))  # the seed itself reads
+
+        @settings(deadline=None)
+        @given(data=_mutant(seed))
+        def reads_or_raises(data):
+            try:
+                reader(_write_bytes(tmp_path_factory, data))
+            except DataError:
+                pass
+
+        reads_or_raises()
 
 
 class TestPoseCsv:
