@@ -687,8 +687,10 @@ class TestPlyExport:
         _assert_writes_as_per_point(_columns(tips, rgb), tmp_path_factory.mktemp("ply"))
 
     def test_empty_rejected(self, tmp_path):
+        path = tmp_path / "empty.ply"
         with pytest.raises(DataError):
-            export_ply([], tmp_path / "empty.ply")
+            export_ply(_columns(np.zeros((0, 3)), np.zeros((0, 3))), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("count,row", [
         ("two", b"0 0 0 1 2 3"), ("-1", b"0 0 0 1 2 3"), ("", b"0 0 0 1 2 3"),
